@@ -1,6 +1,6 @@
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
-use comdml_core::RoundEngine;
-use comdml_simnet::{AgentId, World};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
+use comdml_simnet::World;
 
 use crate::BaselineConfig;
 
@@ -34,14 +34,12 @@ impl RoundEngine for AllReduceDml {
         "AllReduce"
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// AllReduce is a global average over the full barrier cohort — the
+    /// same learning step as FedAvg, at full per-round efficiency.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
         if participants.is_empty() {
-            return 0.0;
+            return RoundProgress::idle(0.0);
         }
         let times = self.cfg.per_agent_times(world, participants);
         let min_link = self.cfg.min_link_mbps(world, participants);
@@ -54,48 +52,45 @@ impl RoundEngine for AllReduceDml {
             self.cfg.calibration.bytes_per_s(min_link),
             self.cfg.calibration.link_latency_s,
         );
-        comdml_core::barrier_round_s(&times, agg)
+        let round_s = comdml_core::barrier_round_s(&times, agg);
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: AllReduce is a
-    // global average over the full barrier cohort — the same learning step
-    // as FedAvg, at full per-round efficiency.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn ring_and_hd_differ_only_in_steps() {
         let world = WorldConfig::heterogeneous(16, 1).build();
-        let mut hd = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut ring = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() })
-            .with_algorithm(AllReduceAlgorithm::Ring);
-        let t_hd = hd.round_time_s(&mut world.clone(), 0);
-        let t_ring = ring.round_time_s(&mut world.clone(), 0);
+        let mut hd = AllReduceDml::new(BaselineConfig::default());
+        let mut ring =
+            AllReduceDml::new(BaselineConfig::default()).with_algorithm(AllReduceAlgorithm::Ring);
+        let t_hd = full_round(&mut hd, &world, 0).round_s;
+        let t_ring = full_round(&mut ring, &world, 0).round_s;
         // Same bytes, ring has more latency-bound steps.
         assert!(t_ring >= t_hd);
     }
 
     #[test]
     fn progress_reports_the_full_cohort_at_full_efficiency() {
-        let mut engine = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
+        let mut engine = AllReduceDml::new(BaselineConfig::default());
         let world = WorldConfig::heterogeneous(8, 4).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = full_round(&mut engine, &world, 0);
+        assert!(p.round_s > 0.0);
         assert_eq!((p.efficiency, p.cohort), (1.0, 8));
     }
 
     #[test]
     fn compute_dominates_for_large_models() {
-        let mut engine = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(10, 2).build();
+        let mut engine = AllReduceDml::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(10, 2).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let compute = engine.cfg.straggler_compute_s(&world, &ids);
-        let t = engine.round_time_s(&mut world, 0);
+        let t = full_round(&mut engine, &world, 0).round_s;
         assert!(t < compute * 1.2, "aggregation should be a small fraction: {t} vs {compute}");
     }
 }

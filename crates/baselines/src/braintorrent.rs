@@ -1,5 +1,5 @@
-use comdml_core::RoundEngine;
-use comdml_simnet::{AgentId, World};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
+use comdml_simnet::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,68 +36,60 @@ impl RoundEngine for BrainTorrent {
         "BrainTorrent"
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
-        let times = self.cfg.per_agent_times(world, participants);
-        if participants.len() < 2 {
-            return comdml_core::barrier_round_s(&times, 0.0);
+    /// The rotating aggregator serializes communication but still averages
+    /// every participant's fresh update — only the round *time* varies with
+    /// the drawn aggregator, never the learning efficiency.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
+        if participants.is_empty() {
+            return RoundProgress::idle(0.0);
         }
-        let aggregator = participants[self.rng.gen_range(0..participants.len())];
-        let agg_link = world.agent(aggregator).profile.link_mbps;
-        let b = self.cfg.model.model_bytes() as u64;
-        let bytes = 2 * (participants.len() as u64 - 1) * b;
-        comdml_core::barrier_round_s(&times, self.cfg.calibration.transfer_time_s(bytes, agg_link))
+        let times = self.cfg.per_agent_times(world, participants);
+        let round_s = if participants.len() < 2 {
+            comdml_core::barrier_round_s(&times, 0.0)
+        } else {
+            let aggregator = participants[self.rng.gen_range(0..participants.len())];
+            let agg_link = world.agent(aggregator).profile.link_mbps;
+            let b = self.cfg.model.model_bytes() as u64;
+            let bytes = 2 * (participants.len() as u64 - 1) * b;
+            let agg_s = self.cfg.calibration.transfer_time_s(bytes, agg_link);
+            comdml_core::barrier_round_s(&times, agg_s)
+        };
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: the rotating
-    // aggregator serializes communication but still averages every
-    // participant's fresh update — only the round *time* varies with the
-    // drawn aggregator, never the learning efficiency.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn aggregation_scales_with_participants() {
-        let world_small = WorldConfig::heterogeneous(4, 1).build();
-        let world_big = WorldConfig::heterogeneous(32, 1).build();
-        let mk =
-            || BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() }).with_seed(1);
         // Compare aggregation-only by subtracting the straggler compute.
-        let mut small_engine = mk();
-        let mut w = world_small.clone();
-        let ids: Vec<_> = w.agents().iter().map(|a| a.id).collect();
-        let agg_small =
-            small_engine.round_time_s(&mut w, 0) - small_engine.cfg.straggler_compute_s(&w, &ids);
-        let mut big_engine = mk();
-        let mut w = world_big.clone();
-        let ids: Vec<_> = w.agents().iter().map(|a| a.id).collect();
-        let agg_big =
-            big_engine.round_time_s(&mut w, 0) - big_engine.cfg.straggler_compute_s(&w, &ids);
+        let agg = |k: usize| {
+            let world = WorldConfig::heterogeneous(k, 1).build();
+            let mut engine = BrainTorrent::new(BaselineConfig::default()).with_seed(1);
+            let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
+            full_round(&mut engine, &world, 0).round_s
+                - engine.cfg.straggler_compute_s(&world, &ids)
+        };
+        let (agg_small, agg_big) = (agg(4), agg(32));
         assert!(agg_big > agg_small, "{agg_big} vs {agg_small}");
     }
 
     #[test]
     fn progress_varies_in_time_but_not_in_efficiency() {
-        let mut engine =
-            BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() }).with_seed(7);
+        let mut engine = BrainTorrent::new(BaselineConfig::default()).with_seed(7);
         let world = WorldConfig::heterogeneous(12, 5).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let times: Vec<f64> = (0..8).map(|r| engine.round_progress_for(&world, r, &ids)).fold(
-            Vec::new(),
-            |mut acc, p| {
+        let times: Vec<f64> = (0..8)
+            .map(|r| {
+                let p = full_round(&mut engine, &world, r);
                 assert_eq!((p.efficiency, p.cohort), (1.0, 12));
-                acc.push(p.round_s);
-                acc
-            },
-        );
+                p.round_s
+            })
+            .collect();
         assert!(
             times.iter().any(|&t| (t - times[0]).abs() > 1e-9),
             "the rotating aggregator should vary round times"
@@ -106,9 +98,9 @@ mod tests {
 
     #[test]
     fn single_agent_has_no_aggregation() {
-        let mut engine = BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(1, 1).build();
-        let t = engine.round_time_s(&mut world, 0);
+        let mut engine = BrainTorrent::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(1, 1).build();
+        let t = full_round(&mut engine, &world, 0).round_s;
         let solo = engine.cfg.solo_time_s(&world.agents()[0]);
         assert!((t - solo).abs() < 1e-9);
     }

@@ -1,4 +1,3 @@
-use comdml_core::ChurnPolicy;
 use comdml_cost::{CostCalibration, ModelSpec};
 use comdml_simnet::{AgentId, AgentState, World};
 
@@ -10,10 +9,6 @@ pub struct BaselineConfig {
     /// Resource-to-seconds calibration (must match the ComDML run being
     /// compared against).
     pub calibration: CostCalibration,
-    /// Fraction of agents participating per round.
-    pub sampling_rate: f64,
-    /// Profile churn policy, mirroring the ComDML run.
-    pub churn: Option<ChurnPolicy>,
     /// Central-server aggregate bandwidth in Mbps (FedAvg only).
     pub server_mbps: f64,
 }
@@ -23,8 +18,6 @@ impl Default for BaselineConfig {
         Self {
             model: ModelSpec::resnet56(),
             calibration: CostCalibration::default(),
-            sampling_rate: 1.0,
-            churn: Some(ChurnPolicy::default()),
             server_mbps: 1000.0,
         }
     }
@@ -40,21 +33,6 @@ impl BaselineConfig {
                 agent.batch_size,
                 agent.profile.cpus,
             )
-    }
-
-    /// Applies churn and participation sampling for round `round`,
-    /// returning the participant set.
-    pub fn participants(&self, world: &mut World, round: usize) -> Vec<AgentId> {
-        if let Some(churn) = self.churn {
-            if churn.interval > 0 && round > 0 && round.is_multiple_of(churn.interval) {
-                world.churn_profiles(churn.fraction);
-            }
-        }
-        if self.sampling_rate < 1.0 {
-            world.sample_participants(self.sampling_rate)
-        } else {
-            world.agents().iter().map(|a| a.id).collect()
-        }
     }
 
     /// Per-participant full-model epoch times, the input every synchronized
@@ -77,6 +55,18 @@ impl BaselineConfig {
             .map(|&id| world.agent(id).profile.link_mbps)
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// One round of `engine` over every agent of `world` — the direct `round`
+/// call the engine unit tests share.
+#[cfg(test)]
+pub(crate) fn full_round(
+    engine: &mut impl comdml_core::RoundEngine,
+    world: &World,
+    round: usize,
+) -> comdml_core::RoundProgress {
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    engine.round(world, comdml_core::RoundInput::new(round, &ids))
 }
 
 #[cfg(test)]
@@ -107,12 +97,5 @@ mod tests {
         for a in world.agents() {
             assert!(cfg.solo_time_s(a) <= straggler + 1e-9);
         }
-    }
-
-    #[test]
-    fn participants_respect_sampling() {
-        let cfg = BaselineConfig { sampling_rate: 0.2, ..BaselineConfig::default() };
-        let mut world = WorldConfig::heterogeneous(50, 3).build();
-        assert_eq!(cfg.participants(&mut world, 0).len(), 10);
     }
 }

@@ -1,4 +1,4 @@
-use comdml_core::{RoundEngine, RoundProgress};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_simnet::{AgentId, World};
 
 use crate::BaselineConfig;
@@ -32,8 +32,7 @@ impl DropStragglers {
     }
 
     /// Survivors of an `n`-participant round: the fastest
-    /// `ceil(n · (1 − drop_fraction))`, at least one — the single drop rule
-    /// both the pricing and the progress report use.
+    /// `ceil(n · (1 − drop_fraction))`, at least one.
     fn keep(&self, n: usize) -> usize {
         ((n as f64 * (1.0 - self.drop_fraction)).ceil() as usize).clamp(1, n)
     }
@@ -50,14 +49,13 @@ impl RoundEngine for DropStragglers {
         (1.0 - self.drop_fraction).powf(0.35)
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// The aggregation cohort is only the surviving fast fraction — the
+    /// dropped stragglers' data never contributes this round, which is
+    /// exactly what the analytic efficiency discounts.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
         if participants.is_empty() {
-            return 0.0;
+            return RoundProgress::idle(0.0);
         }
         let mut by_speed: Vec<(AgentId, f64)> =
             participants.iter().map(|&id| (id, self.cfg.solo_time_s(world.agent(id)))).collect();
@@ -67,28 +65,10 @@ impl RoundEngine for DropStragglers {
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, &survivors);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        comdml_core::barrier_round_s(&by_speed[..keep], comm)
-    }
-
-    /// The aggregation cohort is only the surviving fast fraction — the
-    /// dropped stragglers' data never contributes this round, which is
-    /// exactly what the analytic efficiency discounts.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
-        let round_s = self.round_time_for(world, round, participants);
-        if participants.is_empty() {
-            return RoundProgress::idle(round_s);
-        }
+        let round_s = comdml_core::barrier_round_s(&by_speed[..keep], comm);
         RoundProgress {
-            round_s,
-            efficiency: self.rounds_factor(),
-            participants: participants.len(),
-            cohort: self.keep(participants.len()),
-            disruptions: 0,
+            cohort: keep,
+            ..RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
         }
     }
 }
@@ -96,17 +76,17 @@ impl RoundEngine for DropStragglers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use crate::FedAvg;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn dropping_shortens_rounds() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
         let world = WorldConfig::heterogeneous(10, 1).build();
-        let mut fedavg = FedAvg::new(base.clone());
-        let mut dropper = DropStragglers::new(base, 0.3);
-        let t_full = fedavg.round_time_s(&mut world.clone(), 0);
-        let t_drop = dropper.round_time_s(&mut world.clone(), 0);
+        let mut fedavg = FedAvg::new(BaselineConfig::default());
+        let mut dropper = DropStragglers::new(BaselineConfig::default(), 0.3);
+        let t_full = full_round(&mut fedavg, &world, 0).round_s;
+        let t_drop = full_round(&mut dropper, &world, 0).round_s;
         assert!(t_drop < t_full, "{t_drop} vs {t_full}");
     }
 
@@ -118,11 +98,9 @@ mod tests {
 
     #[test]
     fn progress_cohort_is_the_surviving_fraction() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
         let world = WorldConfig::heterogeneous(10, 3).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let mut engine = DropStragglers::new(base, 0.3);
-        let p = engine.round_progress_for(&world, 0, &ids);
+        let mut engine = DropStragglers::new(BaselineConfig::default(), 0.3);
+        let p = full_round(&mut engine, &world, 0);
         assert_eq!(p.participants, 10);
         assert_eq!(p.cohort, 7, "30% of 10 dropped");
         assert!((p.efficiency - engine.rounds_factor()).abs() < 1e-12);
@@ -130,12 +108,12 @@ mod tests {
 
     #[test]
     fn zero_drop_matches_full_straggler() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
+        let base = BaselineConfig::default();
         let world = WorldConfig::heterogeneous(10, 2).build();
         let mut engine = DropStragglers::new(base.clone(), 0.0);
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let straggler = base.straggler_compute_s(&world, &ids);
-        let t = engine.round_time_s(&mut world.clone(), 0);
+        let t = full_round(&mut engine, &world, 0).round_s;
         assert!(t >= straggler, "keeps everyone: {t} vs {straggler}");
     }
 }

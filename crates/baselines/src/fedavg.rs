@@ -1,5 +1,5 @@
-use comdml_core::RoundEngine;
-use comdml_simnet::{AgentId, World};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
+use comdml_simnet::World;
 
 use crate::BaselineConfig;
 
@@ -27,17 +27,13 @@ impl RoundEngine for FedAvg {
         "FedAvg"
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    /// Round time for an externally chosen participant set — used by the
-    /// elastic-fleet and sweep harnesses to drive FedAvg under the *same*
-    /// membership process as ComDML (apples-to-apples churn comparison).
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// The barrier waits for everyone, so every participant's update
+    /// reaches the server fresh — a full-efficiency round over the whole
+    /// cohort.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
         if participants.is_empty() {
-            return 0.0;
+            return RoundProgress::idle(0.0);
         }
         let times = self.cfg.per_agent_times(world, participants);
         let b = self.cfg.model.model_bytes() as u64;
@@ -47,53 +43,50 @@ impl RoundEngine for FedAvg {
         // The server moves 2·P·b bytes through its own pipe.
         let server_bytes = 2 * participants.len() as u64 * b;
         let server_comm = self.cfg.calibration.transfer_time_s(server_bytes, self.cfg.server_mbps);
-        comdml_core::barrier_round_s(&times, client_comm.max(server_comm))
+        let round_s = comdml_core::barrier_round_s(&times, client_comm.max(server_comm));
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: the barrier waits
-    // for everyone, so every participant's update reaches the server fresh
-    // — a full-efficiency round over the whole cohort.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn round_time_exceeds_straggler_compute() {
-        let mut engine = FedAvg::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(10, 1).build();
+        let mut engine = FedAvg::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(10, 1).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let compute = engine.cfg.straggler_compute_s(&world, &ids);
-        let t = engine.round_time_s(&mut world, 0);
-        assert!(t > compute);
+        assert!(full_round(&mut engine, &world, 0).round_s > compute);
     }
 
     #[test]
     fn progress_pairs_barrier_time_with_full_efficiency() {
-        let mut engine = FedAvg::new(BaselineConfig { churn: None, ..Default::default() });
+        let mut engine = FedAvg::new(BaselineConfig::default());
         let world = WorldConfig::heterogeneous(10, 3).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = full_round(&mut engine, &world, 0);
+        assert!(p.round_s > 0.0);
         assert_eq!(p.efficiency, 1.0, "everyone aggregates fresh");
         assert_eq!(p.cohort, 10);
-        assert_eq!(engine.round_progress_for(&world, 0, &[]).efficiency, 0.0, "idle when empty");
+        assert_eq!(
+            engine.round(&world, RoundInput::new(0, &[])).efficiency,
+            0.0,
+            "idle when empty"
+        );
     }
 
     #[test]
     fn slower_server_increases_round_time() {
-        let mut fast_server = FedAvg::new(BaselineConfig {
-            churn: None,
-            server_mbps: 10_000.0,
-            ..Default::default()
-        });
+        let mut fast_server =
+            FedAvg::new(BaselineConfig { server_mbps: 10_000.0, ..Default::default() });
         let mut slow_server =
-            FedAvg::new(BaselineConfig { churn: None, server_mbps: 10.0, ..Default::default() });
+            FedAvg::new(BaselineConfig { server_mbps: 10.0, ..Default::default() });
         let world = WorldConfig::heterogeneous(10, 2).build();
-        let t_fast = fast_server.round_time_s(&mut world.clone(), 0);
-        let t_slow = slow_server.round_time_s(&mut world.clone(), 0);
+        let t_fast = full_round(&mut fast_server, &world, 0).round_s;
+        let t_slow = full_round(&mut slow_server, &world, 0).round_s;
         assert!(t_slow > t_fast, "{t_slow} vs {t_fast}");
     }
 }

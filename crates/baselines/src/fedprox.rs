@@ -1,5 +1,5 @@
-use comdml_core::RoundEngine;
-use comdml_simnet::{AgentId, World};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
+use comdml_simnet::World;
 
 use crate::BaselineConfig;
 
@@ -42,14 +42,13 @@ impl RoundEngine for FedProx {
         0.6 + 0.4 * self.min_work
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Every participant contributes, but stragglers contribute
+    /// *truncated* epochs — the round's efficiency is the γ-inexactness
+    /// discount, a constant of the `min_work` floor.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
         if participants.is_empty() {
-            return 0.0;
+            return RoundProgress::idle(0.0);
         }
         // Reference pace: the median agent trains a full epoch; faster
         // agents too; slower agents scale their work down to match, floored.
@@ -68,40 +67,36 @@ impl RoundEngine for FedProx {
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, participants);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        comdml_core::barrier_round_s(&times, comm)
+        let round_s = comdml_core::barrier_round_s(&times, comm);
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: every participant
-    // contributes, but stragglers contribute *truncated* epochs — the
-    // round's efficiency is the γ-inexactness discount, a constant of the
-    // `min_work` floor.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use crate::FedAvg;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn caps_straggler_rounds_below_fedavg() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
         let world = WorldConfig::heterogeneous(10, 1).build();
-        let mut fedavg = FedAvg::new(base.clone());
-        let mut fedprox = FedProx::new(base, 0.5);
-        let t_avg = fedavg.round_time_s(&mut world.clone(), 0);
-        let t_prox = fedprox.round_time_s(&mut world.clone(), 0);
+        let mut fedavg = FedAvg::new(BaselineConfig::default());
+        let mut fedprox = FedProx::new(BaselineConfig::default(), 0.5);
+        let t_avg = full_round(&mut fedavg, &world, 0).round_s;
+        let t_prox = full_round(&mut fedprox, &world, 0).round_s;
         assert!(t_prox < t_avg, "{t_prox} vs {t_avg}");
     }
 
     #[test]
     fn min_work_one_degenerates_to_fedavg_compute() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
+        let base = BaselineConfig::default();
         let world = WorldConfig::heterogeneous(10, 2).build();
         let mut full = FedProx::new(base.clone(), 1.0);
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let straggler = base.straggler_compute_s(&world, &ids);
-        let t = full.round_time_s(&mut world.clone(), 0);
+        let t = full_round(&mut full, &world, 0).round_s;
         assert!(t >= straggler, "min_work = 1 keeps full epochs: {t} vs {straggler}");
     }
 
@@ -112,11 +107,9 @@ mod tests {
 
     #[test]
     fn progress_carries_the_inexactness_discount() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
         let world = WorldConfig::heterogeneous(10, 6).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let mut engine = FedProx::new(base, 0.4);
-        let p = engine.round_progress_for(&world, 0, &ids);
+        let mut engine = FedProx::new(BaselineConfig::default(), 0.4);
+        let p = full_round(&mut engine, &world, 0);
         assert!((p.efficiency - (0.6 + 0.4 * 0.4)).abs() < 1e-12);
         assert_eq!(p.cohort, 10, "everyone's partial update aggregates");
     }

@@ -1,5 +1,5 @@
-use comdml_core::RoundEngine;
-use comdml_simnet::{AgentId, World};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
+use comdml_simnet::World;
 
 use crate::BaselineConfig;
 
@@ -60,12 +60,14 @@ impl RoundEngine for GossipLearning {
         self.rounds_factor
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Everyone exchanges, but pairwise averaging only *partially* mixes
+    /// information — the round's learning efficiency is the (possibly
+    /// topology-degraded) mixing factor, well below a global average's 1.0.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
+        if participants.is_empty() {
+            return RoundProgress::idle(0.0);
+        }
         let b = self.cfg.model.model_bytes() as u64;
         // No barrier: the fleet progresses at its mean pace, each agent
         // paying its own compute plus one model exchange over its own link.
@@ -77,47 +79,40 @@ impl RoundEngine for GossipLearning {
                 (id, self.cfg.solo_time_s(a) + exchange)
             })
             .collect();
-        comdml_core::mean_round_s(&times)
+        let round_s = comdml_core::mean_round_s(&times);
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: everyone exchanges,
-    // but pairwise averaging only *partially* mixes information — the
-    // round's learning efficiency is the (possibly topology-degraded)
-    // mixing factor, well below a global average's 1.0.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comdml_core::{time_to_accuracy, LearningCurve};
+    use crate::common::full_round;
+    use comdml_core::LearningCurve;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn gossip_rounds_exceed_synchronous_rounds() {
-        let world = WorldConfig::heterogeneous(10, 1).build();
         let curve = LearningCurve::cifar10(true);
-        let mut gossip = GossipLearning::new(BaselineConfig { churn: None, ..Default::default() });
-        let t = time_to_accuracy(&mut gossip, &world, &curve, 0.80);
-        assert!(t.rounds > curve.rounds_to(0.80, 1.0));
+        let gossip = GossipLearning::new(BaselineConfig::default());
+        assert!(curve.rounds_to(0.80, gossip.rounds_factor()) > curve.rounds_to(0.80, 1.0));
     }
 
     #[test]
     fn per_round_time_below_straggler() {
-        let mut gossip = GossipLearning::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(10, 2).build();
+        let mut gossip = GossipLearning::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(10, 2).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let straggler = gossip.cfg.straggler_compute_s(&world, &ids);
-        let t = gossip.round_time_s(&mut world, 0);
+        let t = full_round(&mut gossip, &world, 0).round_s;
         assert!(t < straggler, "mean pace {t} should be under straggler {straggler}");
     }
 
     #[test]
     fn progress_carries_the_mixing_efficiency() {
-        let mut gossip = GossipLearning::new(BaselineConfig { churn: None, ..Default::default() })
-            .with_topology_density(0.25);
+        let mut gossip = GossipLearning::new(BaselineConfig::default()).with_topology_density(0.25);
         let world = WorldConfig::heterogeneous(8, 4).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = gossip.round_progress_for(&world, 0, &ids);
+        let p = full_round(&mut gossip, &world, 0);
         assert!((p.efficiency - 0.55 * 0.25f64.sqrt()).abs() < 1e-12);
         assert_eq!(p.cohort, 8, "everyone exchanges");
     }

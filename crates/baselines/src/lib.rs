@@ -15,21 +15,24 @@
 //!
 //! None of these balance workload: a 0.2-CPU straggler trains the entire
 //! model every round, which is precisely the bottleneck ComDML removes.
-//! All engines implement [`comdml_core::RoundEngine`], so the experiment
-//! harness drives them interchangeably.
+//! Each engine's closed form is its [`comdml_core::RoundEngine::round`],
+//! so the [`comdml_core::FleetSim`] harness drives them interchangeably
+//! with ComDML over the same fleet.
 //!
 //! # Example
 //!
 //! ```
-//! use comdml_baselines::{AllReduceDml, BaselineConfig, FedAvg};
-//! use comdml_core::{time_to_accuracy, LearningCurve};
-//! use comdml_simnet::WorldConfig;
+//! use comdml_baselines::{BaselineConfig, FedAvg};
+//! use comdml_core::{ComDmlConfig, FleetSim, LearningCurve, LearningModel};
+//! use comdml_simnet::FleetConfig;
 //!
-//! let world = WorldConfig::heterogeneous(10, 1).build();
-//! let curve = LearningCurve::cifar10(true);
-//! let mut fedavg = FedAvg::new(BaselineConfig::default());
-//! let t = time_to_accuracy(&mut fedavg, &world, &curve, 0.80);
-//! assert!(t.total_time_s > 0.0);
+//! let fleet = FleetConfig::new(10, 1).samples_per_agent(5_000).build();
+//! let fedavg = FedAvg::new(BaselineConfig::default());
+//! let mut sim = FleetSim::with_engine(fleet, ComDmlConfig::default(), fedavg);
+//! let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+//! sim.run_to_target(&mut model, 1_000);
+//! assert!(model.reached());
+//! assert!(sim.report().total_sim_s > 0.0);
 //! ```
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository

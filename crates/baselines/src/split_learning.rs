@@ -1,6 +1,6 @@
-use comdml_core::RoundEngine;
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_cost::SplitProfile;
-use comdml_simnet::{AgentId, World};
+use comdml_simnet::World;
 
 use crate::BaselineConfig;
 
@@ -54,12 +54,14 @@ impl RoundEngine for ClassicSplitLearning {
         "Split Learning"
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Per-batch server round trips are slow but lossless — the global
+    /// model still sees every participant's full epoch, a full-efficiency
+    /// round.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
+        if participants.is_empty() {
+            return RoundProgress::idle(0.0);
+        }
         let offload = self.cfg.model.num_weighted_layers() - self.agent_layers;
         let e = self.profile.entry(offload).expect("valid split");
         // Per batch, the agent computes its prefix, ships the activation,
@@ -89,22 +91,20 @@ impl RoundEngine for ClassicSplitLearning {
                 (id, a.num_batches() as f64 * (agent_batch + round_trip + server_batch))
             })
             .collect();
-        comdml_core::barrier_round_s(&times, 0.0)
+        let round_s = comdml_core::barrier_round_s(&times, 0.0);
+        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
-
-    // `round_progress_for` inherits the trait default: per-batch server
-    // round trips are slow but lossless — the global model still sees
-    // every participant's full epoch, a full-efficiency round.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use crate::FedAvg;
     use comdml_simnet::WorldConfig;
 
     fn base() -> BaselineConfig {
-        BaselineConfig { churn: None, ..BaselineConfig::default() }
+        BaselineConfig::default()
     }
 
     #[test]
@@ -122,8 +122,8 @@ mod tests {
         let world = WorldConfig::heterogeneous(10, 1).build();
         let mut sl = ClassicSplitLearning::new(base(), 19, 8.0);
         let mut fedavg = FedAvg::new(base());
-        let t_sl = sl.round_time_s(&mut world.clone(), 0);
-        let t_avg = fedavg.round_time_s(&mut world.clone(), 0);
+        let t_sl = full_round(&mut sl, &world, 0).round_s;
+        let t_avg = full_round(&mut fedavg, &world, 0).round_s;
         assert!(
             t_sl > 0.5 * t_avg,
             "SL should not magically beat local training: {t_sl} vs {t_avg}"
@@ -133,10 +133,9 @@ mod tests {
     #[test]
     fn progress_pairs_round_trip_time_with_full_efficiency() {
         let world = WorldConfig::heterogeneous(6, 2).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let mut engine = ClassicSplitLearning::new(base(), 19, 8.0);
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = full_round(&mut engine, &world, 0);
+        assert!(p.round_s > 0.0);
         assert_eq!((p.efficiency, p.cohort), (1.0, 6));
     }
 

@@ -1,4 +1,4 @@
-use comdml_core::{RoundEngine, RoundProgress};
+use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_simnet::{AgentId, World};
 
 use crate::BaselineConfig;
@@ -56,9 +56,6 @@ impl TierBased {
     /// Barrier time of one tier's round: the tier's compute plus the
     /// FedAvg-style server exchange.
     fn price_tier(&self, world: &World, tier: &[AgentId]) -> f64 {
-        if tier.is_empty() {
-            return 0.0;
-        }
         let times = self.cfg.per_agent_times(world, tier);
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, tier);
@@ -78,33 +75,15 @@ impl RoundEngine for TierBased {
         (1.0 / self.num_tiers as f64).powf(0.35)
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, round: usize, participants: &[AgentId]) -> f64 {
-        if participants.is_empty() {
-            return 0.0;
-        }
-        let tier = self.selected_tier(world, round, participants);
-        self.price_tier(world, &tier)
-    }
-
     /// Only the round's selected speed tier trains and aggregates: the
     /// cohort is that tier, and the efficiency is the one-tier-of-data
-    /// sampling discount. The tier split is computed once and both the
-    /// price and the cohort read from it.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
+    /// sampling discount.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        let participants = input.participants;
         if participants.is_empty() {
             return RoundProgress::idle(0.0);
         }
-        let tier = self.selected_tier(world, round, participants);
+        let tier = self.selected_tier(world, input.round, participants);
         if tier.is_empty() {
             // Ceil splitting can leave trailing tiers empty when the
             // participant count doesn't divide evenly; a round whose
@@ -112,11 +91,12 @@ impl RoundEngine for TierBased {
             return RoundProgress::idle(0.0);
         }
         RoundProgress {
-            round_s: self.price_tier(world, &tier),
-            efficiency: self.rounds_factor(),
-            participants: participants.len(),
             cohort: tier.len(),
-            disruptions: 0,
+            ..RoundProgress::fresh(
+                self.price_tier(world, &tier),
+                self.rounds_factor(),
+                participants.len(),
+            )
         }
     }
 }
@@ -124,37 +104,36 @@ impl RoundEngine for TierBased {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::full_round;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn fast_tier_rounds_are_much_shorter() {
-        let mut engine = TierBased::new(BaselineConfig { churn: None, ..Default::default() }, 5);
+        let mut engine = TierBased::new(BaselineConfig::default(), 5);
         let world = WorldConfig::heterogeneous(20, 1).build();
         // Tier index = round % 5; tier 0 is fastest.
-        let mut w = world.clone();
-        let fast = engine.round_time_s(&mut w, 0);
-        let slow = engine.round_time_s(&mut w, 4);
+        let fast = full_round(&mut engine, &world, 0).round_s;
+        let slow = full_round(&mut engine, &world, 4).round_s;
         assert!(slow > 4.0 * fast, "fast tier {fast:.1}s vs slow tier {slow:.1}s");
     }
 
     #[test]
     fn mean_round_beats_global_straggler() {
-        let mut engine = TierBased::new(BaselineConfig { churn: None, ..Default::default() }, 5);
+        let mut engine = TierBased::new(BaselineConfig::default(), 5);
         let world = WorldConfig::heterogeneous(20, 2).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let straggler = engine.cfg.straggler_compute_s(&world, &ids);
-        let mut w = world.clone();
-        let mean: f64 = (0..10).map(|r| engine.round_time_s(&mut w, r)).sum::<f64>() / 10.0;
+        let mean: f64 =
+            (0..10).map(|r| full_round(&mut engine, &world, r).round_s).sum::<f64>() / 10.0;
         assert!(mean < straggler, "tiering should cut the mean round: {mean} vs {straggler}");
     }
 
     #[test]
     fn progress_cohort_is_one_tier() {
-        let mut engine = TierBased::new(BaselineConfig { churn: None, ..Default::default() }, 5);
+        let mut engine = TierBased::new(BaselineConfig::default(), 5);
         let world = WorldConfig::heterogeneous(20, 3).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         for round in 0..5 {
-            let p = engine.round_progress_for(&world, round, &ids);
+            let p = full_round(&mut engine, &world, round);
             assert_eq!(p.participants, 20);
             assert_eq!(p.cohort, 4, "20 agents over 5 tiers");
         }
@@ -165,10 +144,9 @@ mod tests {
         // 7 participants over 5 tiers splits ceil(7/5) = 2 per tier:
         // [2, 2, 2, 1, 0] — the last tier is empty, and its round must not
         // be credited with learning progress.
-        let mut engine = TierBased::new(BaselineConfig { churn: None, ..Default::default() }, 5);
+        let mut engine = TierBased::new(BaselineConfig::default(), 5);
         let world = WorldConfig::heterogeneous(7, 3).build();
-        let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = engine.round_progress_for(&world, 4, &ids);
+        let p = full_round(&mut engine, &world, 4);
         assert_eq!(p.cohort, 0);
         assert_eq!(p.efficiency, 0.0, "an empty tier teaches nothing");
         assert_eq!(p.round_s, 0.0);

@@ -12,11 +12,11 @@
 use comdml_bench::fmt_s;
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml_core::{
-    simulate_round, ChurnPolicy, ComDml, ComDmlConfig, LearningCurve, PairingOrder,
-    PairingScheduler, TrainingTimeEstimator,
+    simulate_round, ChurnPolicy, ComDmlConfig, FleetSim, LearningCurve, LearningModel,
+    PairingOrder, PairingScheduler, TrainingTimeEstimator,
 };
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml_simnet::{AgentId, WorldConfig};
+use comdml_simnet::{AgentId, FleetConfig, WorldConfig};
 
 fn main() {
     let spec = ModelSpec::resnet56();
@@ -30,15 +30,14 @@ fn main() {
 
     // 1. Dynamic vs static pairing under churn.
     {
-        let world = WorldConfig::heterogeneous(10, 42).total_samples(50_000).build();
+        let fleet = FleetConfig::new(10, 42).samples_per_agent(5_000);
         let churn = Some(ChurnPolicy { interval: 5, fraction: 0.3 });
-        let mut dynamic = ComDml::new(ComDmlConfig { churn, ..ComDmlConfig::default() });
-        let mut w = world.clone();
-        let dynamic_total: f64 = (0..rounds).map(|r| dynamic.run_round(&mut w, r).round_s()).sum();
+        let mut dynamic = FleetSim::new(fleet, ComDmlConfig { churn, ..ComDmlConfig::default() });
+        let mut w = dynamic.fleet().world().clone();
+        let dynamic_total = dynamic.run(rounds).total_sim_s;
 
         // Static: freeze the round-0 pairing and keep simulating it while
         // profiles churn underneath.
-        let mut w = world.clone();
         let ids: Vec<AgentId> = w.agents().iter().map(|a| a.id).collect();
         let frozen = PairingScheduler::new().pair(&w, &ids, &est);
         let mut static_total = 0.0;
@@ -78,23 +77,24 @@ fn main() {
 
     // 3. Split-candidate breadth.
     {
-        let world = WorldConfig::heterogeneous(10, 11).total_samples(50_000).build();
         for (name, candidates) in [
             ("all 56 splits", None),
             ("table-I grid (7)", Some(vec![1usize, 10, 19, 28, 37, 46, 55])),
             ("single split (28)", Some(vec![28usize])),
         ] {
-            let mut engine = ComDml::new(ComDmlConfig {
+            let config = ComDmlConfig {
                 candidate_offloads: candidates,
                 churn: None,
                 ..ComDmlConfig::default()
-            });
-            let report = engine.run(&world, 0.90);
+            };
+            let mut sim = FleetSim::new(FleetConfig::new(10, 11).samples_per_agent(5_000), config);
+            sim.run_to_target(&mut LearningModel::new(curve, 0.90), 100_000);
+            let report = sim.report();
             println!(
                 "3. candidates {:<18} mean round {:>6.1}s  total {:>8}s",
                 name,
-                report.mean_round_s,
-                fmt_s(report.total_time_s)
+                report.total_sim_s / report.rounds as f64,
+                fmt_s(report.total_sim_s)
             );
         }
     }

@@ -51,9 +51,8 @@ fn config(mode: AggregationMode) -> ComDmlConfig {
     }
 }
 
-/// Runs one mode and returns (report digest bits, entry).
-fn run_mode(name: &str, mode: AggregationMode, agents: usize, rounds: usize) -> (u64, BenchEntry) {
-    let mut sim = FleetSim::new(fleet(agents), config(mode));
+/// Runs one configuration and returns (report digest bits, entry).
+fn run_mode<E: RoundEngine>(name: &str, mut sim: FleetSim<E>, rounds: usize) -> (u64, BenchEntry) {
     comdml_obs::metrics().reset();
     let start = Instant::now();
     let report = sim.run(rounds);
@@ -107,15 +106,16 @@ fn main() {
     // Determinism gate: two same-seed runs of a shorter prefix must agree
     // bit for bit before the headline numbers mean anything.
     let semi = AggregationMode::SemiSynchronous { quorum: 0.8, staleness_s: f64::MAX };
-    let (d1, _) = run_mode("determinism_a", semi, AGENTS, 100);
-    let (d2, _) = run_mode("determinism_b", semi, AGENTS, 100);
+    let comdml = |mode| FleetSim::new(fleet(AGENTS), config(mode));
+    let (d1, _) = run_mode("determinism_a", comdml(semi), 100);
+    let (d2, _) = run_mode("determinism_b", comdml(semi), 100);
     assert_eq!(d1, d2, "same-seed fleet runs must reproduce exactly");
     println!("determinism: ok (digest {d1:016x})\n");
 
     let mut record = BenchRecord::new("fleet", AGENTS, ROUNDS);
 
     // Headline: the full 1,000-round churn simulation.
-    let (_, entry) = run_mode("semi_sync_q80", semi, AGENTS, ROUNDS);
+    let (_, entry) = run_mode("semi_sync_q80", comdml(semi), ROUNDS);
     record.push(entry);
 
     // Mode divergence on a shorter sweep.
@@ -123,52 +123,22 @@ fn main() {
         ("synchronous", AggregationMode::Synchronous),
         ("asynchronous", AggregationMode::Asynchronous),
     ] {
-        let (_, entry) = run_mode(name, mode, AGENTS, ROUNDS / 4);
+        let (_, entry) = run_mode(name, comdml(mode), ROUNDS / 4);
         record.push(entry);
     }
 
     // FedAvg barrier under the *same* membership process: same seed, same
     // arrival/departure timeline, round boundaries at FedAvg's own pace.
-    // Slot recycling keeps the 1000-round barrier run from saturating
-    // `max_agents` and silently dropping arrivals (FedAvg rounds are far
-    // longer than ComDML's, so its world sees many more sessions).
-    {
-        let mut fa = FedAvg::new(BaselineConfig { churn: None, ..BaselineConfig::default() });
-        let mut driver = fleet(AGENTS).recycle_slots(true).build();
-        let rounds = ROUNDS / 4;
-        let start = Instant::now();
-        let mut sim_total = 0.0f64;
-        let mut horizon = 30.0;
-        for r in 0..rounds {
-            let plan = driver.begin_round(horizon);
-            let t = fa.round_time_for(driver.world(), r, &plan.participants);
-            driver.end_round(t);
-            sim_total += t;
-            horizon = (t * 2.0).max(1.0);
-        }
-        let wall = start.elapsed();
-        println!(
-            "{:<16} {rounds:>4} rounds: sim {:>9.1}s, peak {} agents, +{}/-{} churn, \
-             {} slots recycled, {} arrivals dropped, wall {:.2}s",
-            "fedavg_barrier",
-            sim_total,
-            driver.peak_active(),
-            driver.arrivals_total(),
-            driver.departures_total(),
-            driver.slots_recycled(),
-            driver.arrivals_dropped(),
-            wall.as_secs_f64()
-        );
-        record.push(BenchEntry {
-            mode: "fedavg_barrier".into(),
-            wall_ms: wall.as_secs_f64() * 1e3,
-            events_processed: 0,
-            peak_agents: driver.peak_active(),
-            sim_total_s: sim_total,
-            rounds,
-            phases: Vec::new(),
-        });
-    }
+    // Slot recycling keeps the barrier run from saturating `max_agents` and
+    // silently dropping arrivals (FedAvg rounds are far longer than
+    // ComDML's, so its world sees many more sessions).
+    let fedavg = FleetSim::with_engine(
+        fleet(AGENTS).recycle_slots(true).build(),
+        config(AggregationMode::Synchronous),
+        FedAvg::new(BaselineConfig::default()),
+    );
+    let (_, entry) = run_mode("fedavg_barrier", fedavg, ROUNDS / 4);
+    record.push(entry);
 
     match record.write_default() {
         Ok(path) => println!("\nbench record written to {}", path.display()),

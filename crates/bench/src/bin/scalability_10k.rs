@@ -9,6 +9,9 @@
 //! * the round executes as typed events on a shared clock, so the same code
 //!   path drives synchronous, semi-synchronous and asynchronous aggregation.
 //!
+//! Each mode runs through the `FleetSim` harness on a static fleet (no
+//! arrivals, no departures).
+//!
 //! Results land in `target/experiments/scalability_10k.csv`, with the
 //! machine-readable `target/experiments/BENCH_scalability.json` feeding the
 //! CI perf-regression gate (see `ci/bench-baselines/`).
@@ -20,8 +23,8 @@
 use std::time::Instant;
 
 use comdml_bench::{BenchEntry, BenchRecord, Report};
-use comdml_core::{AggregationMode, ComDml, ComDmlConfig};
-use comdml_simnet::WorldConfig;
+use comdml_core::{AggregationMode, ComDmlConfig, FleetSim};
+use comdml_simnet::FleetConfig;
 
 const AGENTS: usize = 10_000;
 const ROUNDS: usize = 100;
@@ -32,13 +35,11 @@ fn main() {
     comdml_obs::set_metrics_enabled(true);
     // 500 samples per agent keeps per-round work realistic (5 batches per
     // agent) without the dataset itself dominating setup time.
-    let world =
-        WorldConfig::heterogeneous(AGENTS, 42).total_samples(500 * AGENTS).batch_size(100).build();
+    let fleet = FleetConfig::new(AGENTS, 42).samples_per_agent(500).batch_size(100);
+    let summary = fleet.clone().build().world().summary();
     println!(
         "world: {} agents, mean {:.2} CPUs, density {:.2}\n",
-        AGENTS,
-        world.summary().mean_cpus,
-        world.summary().density
+        AGENTS, summary.mean_cpus, summary.density
     );
 
     let mut report = Report::new(
@@ -52,7 +53,7 @@ fn main() {
         ("semi_sync_q80", AggregationMode::SemiSynchronous { quorum: 0.8, staleness_s: f64::MAX }),
         ("asynchronous", AggregationMode::Asynchronous),
     ] {
-        let mut engine = ComDml::new(ComDmlConfig {
+        let config = ComDmlConfig {
             churn: None,
             aggregation: mode,
             // Profiling every one of the 57 ResNet-56 cuts per candidate is
@@ -60,20 +61,18 @@ fn main() {
             // schedule quality while bounding estimator work.
             candidate_offloads: Some(vec![8, 16, 24, 32, 40, 48]),
             ..ComDmlConfig::default()
-        });
-        let mut w = world.clone();
+        };
+        let mut sim = FleetSim::new(fleet.clone(), config);
         comdml_obs::metrics().reset();
         let start = Instant::now();
-        let mut sim_total = 0.0;
         let mut offloads = 0usize;
-        let mut events = 0u64;
-        for r in 0..ROUNDS {
-            let outcome = engine.run_round(&mut w, r);
-            sim_total += outcome.round_s();
-            offloads += outcome.num_offloads;
-            events += engine.last_report().map_or(0, |rep| rep.events_processed);
+        for _ in 0..ROUNDS {
+            sim.step();
+            offloads += sim.engine().last_outcome().map_or(0, |o| o.num_offloads);
         }
         let wall = start.elapsed().as_secs_f64();
+        let run = sim.report();
+        let (sim_total, events) = (run.total_sim_s, run.events_processed);
         let phases = comdml_obs::metrics().snapshot().phase_totals();
         println!(
             "{name:<14} {ROUNDS} rounds of {AGENTS} agents: sim {sim_total:>12.1}s, \

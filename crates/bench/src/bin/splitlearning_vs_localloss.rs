@@ -8,7 +8,7 @@
 use comdml_baselines::{BaselineConfig, ClassicSplitLearning};
 use comdml_bench::fmt_s;
 use comdml_collective::AllReduceAlgorithm;
-use comdml_core::{simulate_round, Pairing, RoundEngine, TrainingTimeEstimator};
+use comdml_core::{simulate_round, Pairing, RoundEngine, RoundInput, TrainingTimeEstimator};
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml_simnet::{Adjacency, AgentId, AgentProfile, AgentState, World};
 
@@ -38,12 +38,8 @@ fn main() {
         let world = World::from_parts(agents, adj, 0);
 
         // Classic SL: the fast agent plays "server" for the slow one.
-        let mut sl = ClassicSplitLearning::new(
-            BaselineConfig { churn: None, ..BaselineConfig::default() },
-            agent_layers,
-            4.0,
-        );
-        let t_sl = sl.round_time_s(&mut world.clone(), 0);
+        let mut sl = ClassicSplitLearning::new(BaselineConfig::default(), agent_layers, 4.0);
+        let t_sl = sl.round(&world, RoundInput::new(0, &[AgentId(0), AgentId(1)])).round_s;
         let sl_bytes = sl.bytes_per_batch() * world.agent(AgentId(0)).num_batches() as u64;
 
         // Local-loss: the ComDML pipeline with the same split.

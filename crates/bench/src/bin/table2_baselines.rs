@@ -1,11 +1,14 @@
 //! Regenerates **Table II**: total training time to target accuracy with 10
 //! heterogeneous agents on CIFAR-10 / CIFAR-100 / CINIC-10 (I.I.D. and
 //! non-I.I.D.), comparing ComDML against Gossip Learning, BrainTorrent,
-//! decentralized AllReduce and FedAvg.
+//! decentralized AllReduce and FedAvg. Every method runs through the
+//! `FleetSim` harness on the same static fleet.
 
 use comdml_baselines::BaselineConfig;
-use comdml_bench::{all_methods, fmt_s, row, table2_cells, world_for_dataset, Report};
-use comdml_core::{time_to_accuracy, ComDmlConfig, LearningCurve};
+use comdml_bench::{
+    all_methods, fleet_for_dataset, fmt_s, row, run_to_target, table2_cells, Report,
+};
+use comdml_core::{ComDmlConfig, LearningCurve};
 use comdml_simnet::Topology;
 
 fn main() {
@@ -28,17 +31,15 @@ fn main() {
     // method -> 6 cells
     let mut table: Vec<(String, Vec<f64>)> = Vec::new();
     for (spec, iid, target) in table2_cells() {
-        let world = world_for_dataset(&spec, iid, k, 42, Topology::Full);
+        let fleet = fleet_for_dataset(&spec, iid, k, 42, Topology::Full);
         let curve = LearningCurve::for_dataset(&spec.name, iid);
-        let engines = all_methods(
-            BaselineConfig::default(),
-            ComDmlConfig { curve, ..ComDmlConfig::default() },
-        );
-        for mut engine in engines {
-            let t = time_to_accuracy(engine.as_mut(), &world, &curve, target);
-            match table.iter_mut().find(|(name, _)| *name == t.method) {
-                Some((_, cells)) => cells.push(t.total_time_s),
-                None => table.push((t.method.clone(), vec![t.total_time_s])),
+        let config = ComDmlConfig::default();
+        for engine in all_methods(BaselineConfig::default(), config.clone()) {
+            let method = engine.name().to_string();
+            let total_s = run_to_target(fleet.clone(), &config, engine, curve, target).total_sim_s;
+            match table.iter_mut().find(|(name, _)| *name == method) {
+                Some((_, cells)) => cells.push(total_s),
+                None => table.push((method, vec![total_s])),
             }
         }
     }

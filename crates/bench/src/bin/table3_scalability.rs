@@ -4,13 +4,15 @@
 //!
 //! Per-agent workload is held constant (5 000 samples each, matching the
 //! 10-agent CIFAR-10 split) so scaling stresses scheduling and aggregation
-//! rather than shrinking local epochs — see EXPERIMENTS.md.
+//! rather than shrinking local epochs — see EXPERIMENTS.md. Every method
+//! runs through the `FleetSim` harness, which samples the same 20% of the
+//! fleet for each of them.
 
 use comdml_baselines::BaselineConfig;
-use comdml_bench::{all_methods, fmt_s, rounds_with_sampling, row, run_rounds};
+use comdml_bench::{all_methods, fmt_s, row, run_to_target};
 use comdml_core::{ComDmlConfig, LearningCurve};
 use comdml_cost::ModelSpec;
-use comdml_simnet::WorldConfig;
+use comdml_simnet::FleetConfig;
 
 fn main() {
     let sampling = 0.2;
@@ -31,26 +33,17 @@ fn main() {
         (ModelSpec::resnet110(), LearningCurve::cifar10(true).deeper()),
     ] {
         for k in [20usize, 50, 100] {
-            let world =
-                WorldConfig::heterogeneous(k, 42).total_samples(5_000 * k).batch_size(100).build();
-            let engines = all_methods(
-                BaselineConfig {
-                    model: model.clone(),
-                    sampling_rate: sampling,
-                    ..BaselineConfig::default()
-                },
-                ComDmlConfig {
-                    model: model.clone(),
-                    sampling_rate: sampling,
-                    curve,
-                    ..ComDmlConfig::default()
-                },
-            );
+            let fleet = FleetConfig::new(k, 42).samples_per_agent(5_000).batch_size(100).build();
+            let config = ComDmlConfig {
+                model: model.clone(),
+                sampling_rate: sampling,
+                ..ComDmlConfig::default()
+            };
+            let base = BaselineConfig { model: model.clone(), ..BaselineConfig::default() };
             let mut cells = vec![model.name().to_string(), k.to_string()];
-            for mut engine in engines {
-                let rounds = rounds_with_sampling(&curve, target, engine.rounds_factor(), sampling);
-                let total = run_rounds(engine.as_mut(), &world, rounds);
-                cells.push(fmt_s(total));
+            for engine in all_methods(base, config.clone()) {
+                let report = run_to_target(fleet.clone(), &config, engine, curve, target);
+                cells.push(fmt_s(report.total_sim_s));
             }
             println!("{}", row(&cells, &widths));
         }

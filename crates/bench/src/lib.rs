@@ -12,9 +12,11 @@ pub use json::{BenchEntry, BenchRecord, Value};
 pub use report::Report;
 
 use comdml_baselines::{AllReduceDml, BaselineConfig, BrainTorrent, FedAvg, GossipLearning};
-use comdml_core::{ComDml, ComDmlConfig, LearningCurve, RoundEngine};
+use comdml_core::{
+    ComDml, ComDmlConfig, FleetReport, FleetSim, LearningCurve, LearningModel, RoundEngine,
+};
 use comdml_data::{DatasetSpec, DirichletPartitioner};
-use comdml_simnet::{Topology, World, WorldConfig};
+use comdml_simnet::{FleetConfig, FleetDriver, Topology};
 
 /// The six dataset × distribution cells of Table II with their target
 /// accuracies.
@@ -29,18 +31,18 @@ pub fn table2_cells() -> Vec<(DatasetSpec, bool, f64)> {
     ]
 }
 
-/// Builds the world for one Table II cell: `k` heterogeneous agents sharing
-/// the dataset's training set; non-I.I.D. cells get Dirichlet(0.5) sizes
-/// (label skew also skews per-agent sample counts).
-pub fn world_for_dataset(
+/// Builds the static fleet for one Table II cell: `k` heterogeneous agents
+/// sharing the dataset's training set; non-I.I.D. cells get Dirichlet(0.5)
+/// sizes (label skew also skews per-agent sample counts).
+pub fn fleet_for_dataset(
     spec: &DatasetSpec,
     iid: bool,
     k: usize,
     seed: u64,
     topo: Topology,
-) -> World {
-    let mut world = WorldConfig::heterogeneous(k, seed)
-        .total_samples(spec.train_samples)
+) -> FleetDriver {
+    let mut fleet = FleetConfig::new(k, seed)
+        .samples_per_agent(spec.train_samples / k)
         .batch_size(100)
         .topology(topo)
         .build();
@@ -48,11 +50,11 @@ pub fn world_for_dataset(
         // Dirichlet label skew implies uneven per-agent dataset sizes.
         let labels: Vec<usize> = (0..spec.train_samples).map(|i| i % spec.num_classes).collect();
         let parts = DirichletPartitioner::new(0.5, seed ^ 0xd1).partition(&labels, k);
-        for (agent, part) in world.agents_mut().iter_mut().zip(parts) {
+        for (agent, part) in fleet.world_mut().agents_mut().iter_mut().zip(parts) {
             agent.num_samples = part.len().max(1);
         }
     }
-    world
+    fleet
 }
 
 /// All five methods of Table II, boxed behind the shared engine trait.
@@ -66,27 +68,20 @@ pub fn all_methods(base: BaselineConfig, comdml: ComDmlConfig) -> Vec<Box<dyn Ro
     ]
 }
 
-/// Drives an engine for `rounds` rounds on a clone of `world`, returning
-/// total simulated seconds.
-pub fn run_rounds(engine: &mut dyn RoundEngine, world: &World, rounds: usize) -> f64 {
-    let mut world = world.clone();
-    (0..rounds).map(|r| engine.round_time_s(&mut world, r)).sum()
-}
-
-/// Rounds-to-target with the participation-sampling penalty: when only a
-/// `sampling_rate` fraction of agents contributes per round, the global
-/// model sees proportionally less data, inflating the round count
-/// (sub-linearly — overlapping updates still transfer). The penalty is
-/// [`comdml_core::sampling_penalty`], the same factor the round-driven
-/// [`comdml_core::LearningModel`] applies per round — which is exactly why
-/// the two agree under constant efficiency.
-pub fn rounds_with_sampling(
-    curve: &LearningCurve,
+/// Drives `engine` through the [`FleetSim`] harness on `fleet` (policies
+/// from `config`) until `curve` reaches `target`, with the participation
+/// penalty of `config.sampling_rate`.
+pub fn run_to_target(
+    fleet: FleetDriver,
+    config: &ComDmlConfig,
+    engine: Box<dyn RoundEngine>,
+    curve: LearningCurve,
     target: f64,
-    engine_factor: f64,
-    sampling_rate: f64,
-) -> usize {
-    curve.rounds_to(target, engine_factor * comdml_core::sampling_penalty(sampling_rate))
+) -> FleetReport {
+    let mut model = LearningModel::new(curve, target).with_sampling_rate(config.sampling_rate);
+    let mut sim = FleetSim::with_engine(fleet, config.clone(), engine);
+    sim.run_to_target(&mut model, 100_000);
+    sim.report()
 }
 
 /// Formats seconds with thousands separators, matching the tables' style.
@@ -123,10 +118,10 @@ mod tests {
     #[test]
     fn non_iid_world_has_uneven_sizes() {
         let spec = DatasetSpec::cifar10();
-        let iid = world_for_dataset(&spec, true, 10, 1, Topology::Full);
-        let non = world_for_dataset(&spec, false, 10, 1, Topology::Full);
-        let spread = |w: &World| {
-            let sizes: Vec<usize> = w.agents().iter().map(|a| a.num_samples).collect();
+        let iid = fleet_for_dataset(&spec, true, 10, 1, Topology::Full);
+        let non = fleet_for_dataset(&spec, false, 10, 1, Topology::Full);
+        let spread = |f: &FleetDriver| {
+            let sizes: Vec<usize> = f.world().agents().iter().map(|a| a.num_samples).collect();
             *sizes.iter().max().unwrap() as f64 / *sizes.iter().min().unwrap() as f64
         };
         assert!(spread(&non) > spread(&iid));
@@ -140,14 +135,6 @@ mod tests {
         let mut unique = names.clone();
         unique.dedup();
         assert_eq!(unique.len(), 5);
-    }
-
-    #[test]
-    fn sampling_penalty_inflates_rounds() {
-        let curve = LearningCurve::cifar10(true);
-        let full = rounds_with_sampling(&curve, 0.80, 1.0, 1.0);
-        let sampled = rounds_with_sampling(&curve, 0.80, 1.0, 0.2);
-        assert!(sampled > full);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use comdml_simnet::{AgentId, ByzantineConfig, DiurnalCycle, PartitionSchedule, W
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AggregationMode, EventGranularity, EventRound, EventRoundReport, LearningCurve, LearningModel,
-    PairingScheduler, RoundOutcome, RoundProgress, TrainingTimeEstimator,
+    AggregationMode, Disruption, EventGranularity, EventRound, PairingScheduler, RoundOutcome,
+    RoundProgress, TrainingTimeEstimator,
 };
 
 /// Dynamic-environment policy: re-roll a fraction of agent profiles every
@@ -27,7 +27,9 @@ impl Default for ChurnPolicy {
     }
 }
 
-/// Configuration of a ComDML run.
+/// Configuration of a ComDML run: the method's own knobs plus the
+/// experiment policies (churn, sampling, hostile shaping) the
+/// [`crate::FleetSim`] harness applies to whichever engine it drives.
 #[derive(Debug, Clone)]
 pub struct ComDmlConfig {
     /// The model being trained (cost model).
@@ -36,14 +38,14 @@ pub struct ComDmlConfig {
     pub calibration: CostCalibration,
     /// AllReduce algorithm for aggregation (§IV-B picks halving/doubling).
     pub algorithm: AllReduceAlgorithm,
-    /// Fraction of agents participating each round (Table III uses 0.2).
+    /// Fraction of active agents the harness samples into each round
+    /// (Table III uses 0.2).
     pub sampling_rate: f64,
-    /// Profile churn policy (`None` = static environment).
+    /// Profile churn policy the harness applies between rounds (`None` =
+    /// static environment).
     pub churn: Option<ChurnPolicy>,
     /// Candidate offloads to profile (`None` = every layer boundary).
     pub candidate_offloads: Option<Vec<usize>>,
-    /// Learning curve for rounds-to-accuracy conversion.
-    pub curve: LearningCurve,
     /// Mini-batch size used for profiling (the paper uses 100).
     pub batch_size: usize,
     /// How rounds aggregate: the classic barrier, a quorum/staleness
@@ -66,15 +68,15 @@ pub struct ComDmlConfig {
     /// for any value; 1 (the default) prepares inline.
     pub threads: usize,
     /// Diurnal time-varying bandwidth (`None` = stationary links). Applied
-    /// by the clock-owning harness ([`crate::FleetSim`] and the sweep
-    /// runner) as a link scale on the world at each round start.
+    /// by the clock-owning [`crate::FleetSim`] harness as a link scale on
+    /// the world at each round start.
     pub diurnal: Option<DiurnalCycle>,
     /// Rotating correlated regional outages (`None` = never partitioned).
     /// Applied by the clock-owning harness like [`ComDmlConfig::diurnal`].
     pub partition: Option<PartitionSchedule>,
     /// Byzantine agents misreporting speed to the pairing broadcast
-    /// (`None` = everyone honest). The liar set is salted by the scenario
-    /// seed where one is available (the fleet harness), else 0.
+    /// (`None` = everyone honest). The liar set is salted by the fleet seed
+    /// ([`ComDml::seeded`]; [`ComDml::new`] salts with 0).
     pub byzantine: Option<ByzantineConfig>,
 }
 
@@ -87,7 +89,6 @@ impl Default for ComDmlConfig {
             sampling_rate: 1.0,
             churn: Some(ChurnPolicy::default()),
             candidate_offloads: None,
-            curve: LearningCurve::cifar10(true),
             batch_size: 100,
             aggregation: AggregationMode::Synchronous,
             staleness_decay: 0.5,
@@ -100,9 +101,34 @@ impl Default for ComDmlConfig {
     }
 }
 
-/// A method that can simulate the wall-clock cost of one training round —
-/// the interface shared by ComDML and all baselines so the experiment
-/// harness treats them uniformly.
+/// What the harness hands an engine for one round: the sampled
+/// participants, the membership changes expected inside the round, and the
+/// head starts the participants carry over from earlier rounds.
+#[derive(Debug, Default)]
+pub struct RoundInput<'a> {
+    /// Zero-based round index.
+    pub round: usize,
+    /// Agents that train and aggregate this round, ascending by id.
+    pub participants: &'a [AgentId],
+    /// Mid-round joins and participant leaves (see [`Disruption`]).
+    pub changes: Vec<Disruption>,
+    /// Per-participant head starts: seconds of earlier work still running
+    /// when this round starts (semi-sync/async spill).
+    pub carry: HashMap<AgentId, f64>,
+}
+
+impl<'a> RoundInput<'a> {
+    /// A round over `participants` with no membership changes and no
+    /// carried work.
+    pub fn new(round: usize, participants: &'a [AgentId]) -> Self {
+        Self { round, participants, ..Self::default() }
+    }
+}
+
+/// A training method as the [`crate::FleetSim`] harness drives it: ComDML
+/// and every baseline price one round over the participants they are
+/// handed. Membership, churn, sampling, carry-over and the clock belong to
+/// the harness, so every method faces the same fleet.
 pub trait RoundEngine {
     /// Method name as it appears in the paper's tables.
     fn name(&self) -> &'static str;
@@ -113,114 +139,36 @@ pub trait RoundEngine {
         1.0
     }
 
-    /// Simulated seconds consumed by round `round` (mutating `world` for
-    /// churn/sampling effects).
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64;
-
-    /// Simulated seconds for round `round` over an *externally chosen*
-    /// participant set: the uniform entry point the elastic-fleet and sweep
-    /// harnesses drive every method through. The harness owns membership,
-    /// profile churn and participation sampling, so engines must price
-    /// exactly the given participants and must not re-apply their own
-    /// policies here.
-    fn round_time_for(&mut self, world: &World, round: usize, participants: &[AgentId]) -> f64;
-
-    /// Simulates round `round` over `participants` and reports the round
-    /// time *paired with* the realized effective-progress inputs a
-    /// [`LearningModel`] accumulates — the round-driven replacement for
-    /// projecting accuracy from [`RoundEngine::rounds_factor`] after the
-    /// fact.
-    ///
-    /// The default pairs [`RoundEngine::round_time_for`] with the engine's
-    /// analytic factor (exact for every closed-form baseline, whose
-    /// efficiency is round-invariant) and reports an idle round when the
-    /// participant set is empty — time may pass, but nothing is learned.
-    /// Engines whose efficiency varies round to round (ComDML's event
-    /// rounds under semi-sync/async staleness) override this.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
-        let round_s = self.round_time_for(world, round, participants);
-        if participants.is_empty() {
-            return RoundProgress::idle(round_s);
-        }
-        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
-    }
+    /// Simulates one round on `world` and reports its duration, realized
+    /// learning progress and spill. An empty participant set is an idle
+    /// round: nothing is learned.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress;
 }
 
-/// Result of driving a [`RoundEngine`] to a target accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeToAccuracy {
-    /// Method name.
-    pub method: String,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total simulated seconds.
-    pub total_time_s: f64,
-    /// Mean seconds per round.
-    pub mean_round_s: f64,
-}
-
-/// Drives `engine` on a clone of `world` until `curve` says `target`
-/// accuracy is reached, accumulating simulated time.
-///
-/// # Panics
-///
-/// Panics if `target` exceeds the curve's asymptote.
-pub fn time_to_accuracy(
-    engine: &mut dyn RoundEngine,
-    world: &World,
-    curve: &LearningCurve,
-    target: f64,
-) -> TimeToAccuracy {
-    let rounds = curve.rounds_to(target, engine.rounds_factor());
-    let mut world = world.clone();
-    let mut total = 0.0;
-    for r in 0..rounds {
-        total += engine.round_time_s(&mut world, r);
+impl<E: RoundEngine + ?Sized> RoundEngine for Box<E> {
+    fn name(&self) -> &'static str {
+        (**self).name()
     }
-    TimeToAccuracy {
-        method: engine.name().to_string(),
-        rounds,
-        total_time_s: total,
-        mean_round_s: total / rounds as f64,
-    }
-}
 
-/// Report of one end-to-end ComDML run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComDmlReport {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total simulated seconds.
-    pub total_time_s: f64,
-    /// Mean seconds per round.
-    pub mean_round_s: f64,
-    /// Mean offloading pairs per round.
-    pub mean_offloads: f64,
-    /// Combined idle seconds over the whole run.
-    pub total_idle_s: f64,
-    /// Combined critical-path communication seconds over the whole run.
-    pub total_comm_s: f64,
+    fn rounds_factor(&self) -> f64 {
+        (**self).rounds_factor()
+    }
+
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        (**self).round(world, input)
+    }
 }
 
 /// The ComDML method: decentralized pairing + local-loss split training +
-/// AllReduce aggregation, simulated round by round.
+/// AllReduce aggregation, one [`EventRound`] per round.
 #[derive(Debug, Clone)]
 pub struct ComDml {
     config: ComDmlConfig,
     profile: SplitProfile,
     scheduler: PairingScheduler,
     last_outcome: Option<RoundOutcome>,
-    last_report: Option<EventRoundReport>,
-    /// Per-agent head starts carried between rounds by the semi-sync and
-    /// async aggregation modes (empty under the synchronous barrier).
-    ready_at: HashMap<AgentId, f64>,
     /// Sum of per-round staleness-weighted efficiencies (see
-    /// [`EventRoundReport::efficiency`]) over `rounds_seen` rounds.
+    /// [`crate::EventRoundReport::efficiency`]) over `rounds_seen` rounds.
     efficiency_sum: f64,
     rounds_seen: usize,
 }
@@ -229,25 +177,23 @@ impl ComDml {
     /// Builds the method, profiling all candidate splits up front (the
     /// paper's "prior to the training process" profiling step).
     pub fn new(config: ComDmlConfig) -> Self {
+        Self::seeded(config, 0)
+    }
+
+    /// Like [`ComDml::new`], with the Byzantine liar set salted by `seed`
+    /// (the fleet seed), so a sweep over seeds also re-rolls *which*
+    /// agents lie.
+    pub fn seeded(config: ComDmlConfig, seed: u64) -> Self {
         let full = SplitProfile::new(&config.model, config.batch_size);
         let profile = match &config.candidate_offloads {
             Some(c) => full.restrict_to(c),
             None => full,
         };
         let scheduler = match config.byzantine {
-            Some(b) => PairingScheduler::with_misreport(b, 0),
+            Some(b) => PairingScheduler::with_misreport(b, seed),
             None => PairingScheduler::new(),
         };
-        Self {
-            config,
-            profile,
-            scheduler,
-            last_outcome: None,
-            last_report: None,
-            ready_at: HashMap::new(),
-            efficiency_sum: 0.0,
-            rounds_seen: 0,
-        }
+        Self { config, profile, scheduler, last_outcome: None, efficiency_sum: 0.0, rounds_seen: 0 }
     }
 
     /// The active configuration.
@@ -263,114 +209,6 @@ impl ComDml {
     /// The outcome of the most recent simulated round, if any.
     pub fn last_outcome(&self) -> Option<&RoundOutcome> {
         self.last_outcome.as_ref()
-    }
-
-    /// The full event-engine report of the most recent round (aggregation
-    /// cohort, spill-over, repairs), if any.
-    pub fn last_report(&self) -> Option<&EventRoundReport> {
-        self.last_report.as_ref()
-    }
-
-    /// Simulates one round on `world` (applying churn and sampling) and
-    /// returns its outcome.
-    ///
-    /// The round executes on the discrete-event engine under the configured
-    /// [`AggregationMode`]; semi-synchronous and asynchronous modes carry
-    /// stragglers' unfinished work into the next call as per-agent head
-    /// starts.
-    pub fn run_round(&mut self, world: &mut World, round: usize) -> RoundOutcome {
-        if let Some(churn) = self.config.churn {
-            if churn.interval > 0 && round > 0 && round.is_multiple_of(churn.interval) {
-                world.churn_profiles(churn.fraction);
-            }
-        }
-        let participants: Vec<AgentId> = if self.config.sampling_rate < 1.0 {
-            world.sample_participants(self.config.sampling_rate)
-        } else {
-            world.agents().iter().map(|a| a.id).collect()
-        };
-        self.run_round_with(world, &participants)
-    }
-
-    /// Simulates one round over an externally chosen participant set —
-    /// churn and sampling are the caller's business (the elastic-fleet and
-    /// sweep harnesses pick membership themselves; [`ComDml::run_round`]
-    /// applies this config's policies and delegates here).
-    pub fn run_round_with(&mut self, world: &World, participants: &[AgentId]) -> RoundOutcome {
-        let estimator =
-            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
-        let pairing_timer = comdml_obs::phase("comdml.pairing");
-        let pairings = self.scheduler.pair(world, participants, &estimator);
-        drop(pairing_timer);
-        let round_timer = comdml_obs::phase("comdml.round");
-        let report = EventRound::new(
-            world,
-            &pairings,
-            &estimator,
-            &self.config.calibration,
-            self.config.algorithm,
-        )
-        .mode(self.config.aggregation)
-        .granularity(self.config.granularity)
-        .pair_threads(self.config.threads)
-        .ready_at(std::mem::take(&mut self.ready_at))
-        .run();
-        drop(round_timer);
-        self.ready_at = report
-            .spill_s
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s > 0.0)
-            .map(|(i, &s)| (AgentId(i), s))
-            .collect();
-        self.efficiency_sum += report.efficiency(self.config.staleness_decay);
-        self.rounds_seen += 1;
-        let outcome = report.outcome.clone();
-        self.last_report = Some(report);
-        self.last_outcome = Some(outcome.clone());
-        outcome
-    }
-
-    /// Runs to `target` accuracy on a clone of `world` and reports totals.
-    ///
-    /// Rounds advance a [`LearningModel`] with their staleness-weighted
-    /// *effective* progress ([`EventRoundReport::progress`]): under the
-    /// synchronous barrier every round counts fully and the round count
-    /// matches the curve's prediction exactly; semi-synchronous and
-    /// asynchronous runs need more wall rounds because stale updates
-    /// advance the curve less. A safety cap of 20× the nominal round count
-    /// bounds pathological configs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` exceeds the configured curve's asymptote.
-    pub fn run(&mut self, world: &World, target: f64) -> ComDmlReport {
-        let mut model = LearningModel::new(self.config.curve, target);
-        let cap = (model.needed_effective_rounds() * 20.0).ceil() as usize;
-        let mut world = world.clone();
-        let mut total = 0.0;
-        let mut idle = 0.0;
-        let mut comm = 0.0;
-        let mut offloads = 0usize;
-        let mut rounds = 0usize;
-        while !model.reached() && rounds < cap {
-            let outcome = self.run_round(&mut world, rounds);
-            let report = self.last_report.as_ref().expect("round just ran");
-            model.observe(&report.progress(self.config.staleness_decay));
-            total += outcome.round_s();
-            idle += outcome.total_idle_s();
-            comm += outcome.total_comm_s();
-            offloads += outcome.num_offloads;
-            rounds += 1;
-        }
-        ComDmlReport {
-            rounds,
-            total_time_s: total,
-            mean_round_s: total / rounds.max(1) as f64,
-            mean_offloads: offloads as f64 / rounds.max(1) as f64,
-            total_idle_s: idle,
-            total_comm_s: comm,
-        }
     }
 }
 
@@ -390,125 +228,141 @@ impl RoundEngine for ComDml {
         }
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        self.run_round(world, round).round_s()
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
-        self.run_round_with(world, participants).round_s()
-    }
-
-    /// One event round's *realized* progress: unlike the closed-form
-    /// baselines, ComDML's efficiency varies round to round with the
-    /// staleness distribution of the aggregation cohort.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        _round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
-        let _ = self.run_round_with(world, participants);
-        let report = self.last_report.as_ref().expect("round just ran");
-        report.progress(self.config.staleness_decay)
+    /// Pairs the participants (Algorithm 1) and runs the round on the
+    /// discrete-event engine under the configured [`AggregationMode`],
+    /// with the input's membership changes injected as mid-round
+    /// disruptions and its carry as per-agent head starts. Unlike the
+    /// closed-form baselines, the realized efficiency varies round to
+    /// round with the staleness of the aggregation cohort.
+    fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
+        // Free the previous outcome before this round allocates: held across
+        // the round, it pins heap under the round's world-length buffers
+        // (about 4 MiB more peak RSS on a 1M-agent fleet).
+        self.last_outcome = None;
+        let estimator =
+            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
+        let pairing_timer = comdml_obs::phase("fleet.pairing");
+        let pairings = self.scheduler.pair(world, input.participants, &estimator);
+        drop(pairing_timer);
+        let round_timer = comdml_obs::phase("fleet.round");
+        let report = EventRound::new(
+            world,
+            &pairings,
+            &estimator,
+            &self.config.calibration,
+            self.config.algorithm,
+        )
+        .mode(self.config.aggregation)
+        .granularity(self.config.granularity)
+        .pair_threads(self.config.threads)
+        .disruptions(input.changes)
+        .ready_at(input.carry)
+        .run();
+        drop(round_timer);
+        let progress = report.progress(self.config.staleness_decay);
+        self.efficiency_sum += progress.efficiency;
+        self.rounds_seen += 1;
+        self.last_outcome = Some(report.outcome);
+        progress
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comdml_simnet::WorldConfig;
+    use crate::{FleetSim, LearningCurve, LearningModel};
+    use comdml_simnet::{FleetConfig, WorldConfig};
+
+    /// The `WorldConfig::heterogeneous(k, seed)` world (50k samples) as a
+    /// static fleet.
+    fn fleet(k: usize, seed: u64) -> FleetConfig {
+        FleetConfig::new(k, seed).samples_per_agent(50_000 / k)
+    }
+
+    fn ids(world: &World) -> Vec<AgentId> {
+        world.agents().iter().map(|a| a.id).collect()
+    }
 
     #[test]
     fn run_produces_positive_times() {
-        let world = WorldConfig::heterogeneous(10, 1).build();
-        let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-        assert!(report.total_time_s > 0.0);
+        let mut sim = FleetSim::new(fleet(10, 1), ComDmlConfig::default());
+        let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+        let mut offloads = 0;
+        while !model.reached() {
+            model.observe(&RoundProgress::from(&sim.step()));
+            offloads += sim.engine().last_outcome().unwrap().num_offloads;
+        }
+        let report = sim.report();
+        assert!(report.total_sim_s > 0.0);
         assert!(report.rounds > 0);
-        assert!(report.mean_offloads > 0.0, "heterogeneous world should offload");
+        assert!(offloads > 0, "heterogeneous world should offload");
     }
 
     #[test]
     fn comdml_beats_no_balancing_on_heterogeneous_world() {
-        let world = WorldConfig::heterogeneous(10, 2).build();
-        let mut comdml = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let report = comdml.run(&world, 0.80);
+        let config = ComDmlConfig { churn: None, ..ComDmlConfig::default() };
+        let mut sim = FleetSim::new(fleet(10, 2), config.clone());
+        sim.run_to_target(&mut LearningModel::new(LearningCurve::cifar10(true), 0.80), 1_000);
+        let report = sim.report();
+        let mean_round_s = report.total_sim_s / report.rounds as f64;
 
         // "No balancing": every agent trains alone; round time is the
         // straggler's solo time.
-        let cfg = ComDmlConfig::default();
-        let profile = SplitProfile::new(&cfg.model, cfg.batch_size);
-        let est = TrainingTimeEstimator::new(&cfg.model, &profile, &cfg.calibration);
+        let profile = SplitProfile::new(&config.model, config.batch_size);
+        let est = TrainingTimeEstimator::new(&config.model, &profile, &config.calibration);
+        let world = sim.fleet().world();
         let straggler = world.agents().iter().map(|a| est.solo_time_s(a)).fold(0.0, f64::max);
-        assert!(
-            report.mean_round_s < straggler * 0.8,
-            "balanced round {} vs straggler {straggler}",
-            report.mean_round_s
-        );
+        assert!(mean_round_s < straggler * 0.8, "balanced round {mean_round_s} vs {straggler}");
     }
 
     #[test]
     fn sampling_reduces_participants() {
-        let world = WorldConfig::heterogeneous(50, 3).build();
-        let mut comdml = ComDml::new(ComDmlConfig {
-            sampling_rate: 0.2,
-            churn: None,
-            ..ComDmlConfig::default()
-        });
-        let mut w = world.clone();
-        let outcome = comdml.run_round(&mut w, 0);
-        assert_eq!(outcome.agent_stats.len(), 10);
+        let config = ComDmlConfig { sampling_rate: 0.2, churn: None, ..ComDmlConfig::default() };
+        let mut sim = FleetSim::new(fleet(50, 3), config);
+        assert_eq!(sim.step().sampled, 10);
+        assert_eq!(sim.engine().last_outcome().unwrap().agent_stats.len(), 10);
     }
 
     #[test]
     fn churn_triggers_on_interval() {
-        let world = WorldConfig::heterogeneous(20, 4).build();
-        let mut comdml = ComDml::new(ComDmlConfig {
+        let config = ComDmlConfig {
             churn: Some(ChurnPolicy { interval: 5, fraction: 0.5 }),
             ..ComDmlConfig::default()
-        });
-        let mut w = world.clone();
-        let before: Vec<_> = w.agents().iter().map(|a| a.profile).collect();
-        for r in 0..6 {
-            comdml.run_round(&mut w, r);
-        }
-        let after: Vec<_> = w.agents().iter().map(|a| a.profile).collect();
+        };
+        let mut sim = FleetSim::new(fleet(20, 4), config);
+        let before: Vec<_> = sim.fleet().world().agents().iter().map(|a| a.profile).collect();
+        sim.run(6);
+        let after: Vec<_> = sim.fleet().world().agents().iter().map(|a| a.profile).collect();
         assert_ne!(before, after, "churn at round 5 should change profiles");
-    }
-
-    #[test]
-    fn time_to_accuracy_harness_runs_engines() {
-        let world = WorldConfig::heterogeneous(10, 5).build();
-        let mut engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let t = time_to_accuracy(&mut engine, &world, &LearningCurve::cifar10(true), 0.80);
-        assert_eq!(t.method, "ComDML");
-        assert!(t.total_time_s > 0.0);
-        assert!((t.mean_round_s * t.rounds as f64 - t.total_time_s).abs() < 1e-6);
     }
 
     #[test]
     fn round_progress_reports_realized_efficiency() {
         let world = WorldConfig::heterogeneous(12, 7).build();
-        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let ids = ids(&world);
         let mut engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let p = engine.round_progress_for(&world, 0, &ids);
+        let p = engine.round(&world, RoundInput::new(0, &ids));
         assert!((p.efficiency - 1.0).abs() < 1e-12, "sync barrier is fully fresh");
         assert_eq!(p.participants, 12);
         assert_eq!(p.cohort, 12);
         assert_eq!(p.disruptions, 0);
         assert!(p.round_s > 0.0);
+        assert!(p.spill.is_empty(), "a barrier leaves no spill");
 
         let mut semi = ComDml::new(ComDmlConfig {
             churn: None,
             aggregation: AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX },
             ..ComDmlConfig::default()
         });
-        let sp = semi.round_progress_for(&world, 0, &ids);
+        let sp = semi.round(&world, RoundInput::new(0, &ids));
         assert!(
             sp.efficiency < 1.0,
             "stragglers past the quorum spill and discount efficiency, got {}",
             sp.efficiency
         );
         assert!(sp.cohort < sp.participants, "quorum cohort excludes stragglers");
+        assert!(sp.spill.windows(2).all(|w| w[0].0 < w[1].0), "spill is sorted by agent");
+        assert!(sp.spill.iter().all(|&(_, s)| s > 0.0), "spill lists only busy agents");
     }
 
     #[test]
@@ -519,8 +373,7 @@ mod tests {
             churn: None,
             ..ComDmlConfig::default()
         });
-        let mut w = world.clone();
-        comdml.run_round(&mut w, 0);
+        comdml.round(&world, RoundInput::new(0, &ids(&world)));
         assert_eq!(comdml.profile().len(), 4); // 0 plus the three candidates
     }
 }

@@ -75,16 +75,12 @@ impl<'a> TrainingTimeEstimator<'a> {
     /// Full-model processing speed of an agent in batches per second
     /// (the paper's `p`).
     pub fn batches_per_s(&self, agent: &AgentState) -> f64 {
-        self.cal.batches_per_s(
-            self.spec.train_flops_per_sample(),
-            agent.batch_size,
-            agent.profile.cpus,
-        )
+        batches_per_s(self.spec, self.cal, agent)
     }
 
     /// Solo training time `τ̂ = Ñ / p`: one local epoch without offloading.
     pub fn solo_time_s(&self, agent: &AgentState) -> f64 {
-        agent.num_batches() as f64 / self.batches_per_s(agent)
+        solo_time_s(self.spec, self.cal, agent)
     }
 
     /// Evaluates all splits for slow agent `i` offloading to fast agent `j`
@@ -126,6 +122,17 @@ impl<'a> TrainingTimeEstimator<'a> {
         }
         best
     }
+}
+
+/// [`TrainingTimeEstimator::batches_per_s`] without a split profile.
+fn batches_per_s(spec: &ModelSpec, cal: &CostCalibration, agent: &AgentState) -> f64 {
+    cal.batches_per_s(spec.train_flops_per_sample(), agent.batch_size, agent.profile.cpus)
+}
+
+/// [`TrainingTimeEstimator::solo_time_s`] without a split profile, for the
+/// round harness's planning horizon.
+pub(crate) fn solo_time_s(spec: &ModelSpec, cal: &CostCalibration, agent: &AgentState) -> f64 {
+    agent.num_batches() as f64 / batches_per_s(spec, cal, agent)
 }
 
 /// Fowler–Noll–Vo hasher for the memo keys below: the keys are short

@@ -198,9 +198,9 @@ impl EventRoundReport {
 
     /// The round's effective-progress inputs for [`crate::LearningModel`]:
     /// realized duration, staleness-weighted efficiency, participant and
-    /// cohort counts, and the number of departures that actually disrupted
+    /// cohort counts, the number of departures that actually disrupted
     /// training (orphaned pairs, whether re-paired or fallen back to local
-    /// training).
+    /// training), and the spill as a sparse `(agent, seconds)` list.
     pub fn progress(&self, staleness_decay: f64) -> RoundProgress {
         RoundProgress {
             round_s: self.round_end_s.max(0.0),
@@ -208,6 +208,15 @@ impl EventRoundReport {
             participants: self.outcome.agent_stats.len(),
             cohort: self.cohort.len(),
             disruptions: self.repairs + self.local_fallbacks,
+            events_processed: self.events_processed,
+            repairs: self.repairs,
+            spill: self
+                .spill_s
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s > 0.0)
+                .map(|(i, &s)| (AgentId(i), s))
+                .collect(),
         }
     }
 }

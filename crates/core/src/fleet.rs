@@ -1,24 +1,29 @@
-//! Multi-round ComDML over an elastic fleet.
+//! The round harness: every method, round by round, over an elastic fleet.
 //!
-//! [`FleetSim`] marries the membership process of
-//! [`comdml_simnet::FleetDriver`] to the discrete-event round engine
-//! ([`crate::EventRound`]): every round it asks the driver for the current
+//! [`FleetSim`] is the one multi-round loop. It marries the membership
+//! process of [`comdml_simnet::FleetDriver`] to any [`RoundEngine`]: every
+//! round it applies the experiment policies (hostile shaping, profile
+//! churn, participation sampling), asks the driver for the current
 //! membership and the arrivals/departures expected inside a planning
-//! horizon, runs pairing + the event round with those changes injected as
-//! mid-round join/leave disruptions, then reports the realized round
-//! duration back so the fleet clock (and with it the churn process)
-//! advances exactly as fast as the simulation does.
+//! horizon, hands the engine the sampled participants, those changes and
+//! their carried head starts ([`RoundInput`]), then reports the realized
+//! round duration back so the fleet clock (and with it the churn process)
+//! advances exactly as fast as the simulation does. ComDML
+//! ([`crate::ComDml`], pairing plus an [`crate::EventRound`] with the
+//! changes injected as mid-round join/leave disruptions) is the default
+//! engine; every baseline runs through the same loop, so the methods face
+//! the same membership, churn and sampling.
 //!
-//! Per-agent carry-over (`ready_at` head starts from semi-sync/async
-//! spill) survives membership changes: it is kept for agents that remain
-//! active and dropped the moment an agent departs, so no round ever
-//! schedules work for a ghost (the proptests in `tests/fleet_churn.rs`
-//! hold this invariant under arbitrary churn).
+//! Per-agent carry-over (head starts from semi-sync/async spill) survives
+//! membership changes: it is kept for agents that remain active and
+//! dropped the moment an agent departs, so no round ever schedules work
+//! for a ghost (the proptests in `tests/fleet_churn.rs` hold this
+//! invariant under arbitrary churn).
 //!
 //! # Example
 //!
 //! ```
-//! use comdml_core::{ComDmlConfig, EventGranularity, FleetSim};
+//! use comdml_core::{ComDmlConfig, EventGranularity, FleetSim, LearningCurve, LearningModel};
 //! use comdml_simnet::{ArrivalProcess, FleetConfig, SessionLifetime};
 //!
 //! let fleet = FleetConfig::new(12, 7)
@@ -33,16 +38,25 @@
 //! let report = sim.run(5);
 //! assert_eq!(report.rounds, 5);
 //! assert!(report.total_sim_s > 0.0);
+//!
+//! // Or stop the round a learning model reaches its target.
+//! let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.5);
+//! let trajectory = sim.run_to_target(&mut model, 100);
+//! assert!(model.reached());
+//! assert_eq!(trajectory.len(), sim.report().rounds - 5);
 //! ```
+//!
+//! Any other engine runs through [`FleetSim::with_engine`], on a driver
+//! the caller may shape first (e.g. Dirichlet dataset sizes).
 
 use std::collections::HashMap;
 
-use comdml_cost::SplitProfile;
 use comdml_simnet::{AgentId, FleetConfig, FleetDriver, MembershipChange};
 use serde::{Deserialize, Serialize};
 
+use crate::estimator::solo_time_s;
 use crate::{
-    ComDmlConfig, Disruption, EventRound, PairingScheduler, RoundProgress, TrainingTimeEstimator,
+    ComDml, ComDmlConfig, Disruption, LearningModel, RoundEngine, RoundInput, RoundProgress,
 };
 
 /// What one elastic-fleet round produced.
@@ -91,6 +105,9 @@ impl From<&FleetRoundSummary> for RoundProgress {
             participants: s.sampled,
             cohort: s.cohort,
             disruptions: s.leaves_committed,
+            events_processed: s.events_processed,
+            repairs: s.repairs,
+            spill: Vec::new(),
         }
     }
 }
@@ -119,13 +136,13 @@ pub struct FleetReport {
     pub final_active: usize,
 }
 
-/// ComDML driven across rounds on an elastic fleet. See the module docs.
+/// Any [`RoundEngine`] driven across rounds on an elastic fleet (ComDML
+/// by default). See the module docs.
 #[derive(Debug, Clone)]
-pub struct FleetSim {
+pub struct FleetSim<E = ComDml> {
     fleet: FleetDriver,
     config: ComDmlConfig,
-    profile: SplitProfile,
-    scheduler: PairingScheduler,
+    engine: E,
     ready_at: HashMap<AgentId, f64>,
     last_round_s: f64,
     rounds_run: usize,
@@ -135,31 +152,31 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
+    /// Builds ComDML on a fresh fleet: profiles candidate splits up front
+    /// and materializes the fleet. Byzantine liar sets are salted by the
+    /// fleet seed ([`ComDml::seeded`]).
+    pub fn new(fleet: FleetConfig, config: ComDmlConfig) -> Self {
+        let engine = ComDml::seeded(config.clone(), fleet.seed());
+        Self::with_engine(fleet.build(), config, engine)
+    }
+}
+
+impl<E: RoundEngine> FleetSim<E> {
     /// Horizon multiplier over the previous round's duration: generous
     /// enough that most membership events become mid-round disruptions
     /// rather than boundary commits, tight enough that far-future events
     /// are not dragged into the current round.
     const HORIZON_FACTOR: f64 = 2.0;
 
-    /// Builds the simulation: profiles candidate splits up front (like
-    /// [`crate::ComDml::new`]) and materializes the fleet.
-    pub fn new(fleet: FleetConfig, config: ComDmlConfig) -> Self {
-        let full = SplitProfile::new(&config.model, config.batch_size);
-        let profile = match &config.candidate_offloads {
-            Some(c) => full.restrict_to(c),
-            None => full,
-        };
-        // Byzantine liar sets are salted by the fleet seed so a sweep over
-        // seeds also re-rolls *which* agents lie, not just their profiles.
-        let scheduler = match config.byzantine {
-            Some(b) => PairingScheduler::with_misreport(b, fleet.seed()),
-            None => PairingScheduler::new(),
-        };
+    /// Drives `engine` on an already built fleet. `config` supplies the
+    /// harness policies — profile churn, participation sampling, diurnal
+    /// and partition shaping — and the cost model of the opening planning
+    /// horizon; its method knobs only matter to a ComDML engine.
+    pub fn with_engine(fleet: FleetDriver, config: ComDmlConfig, engine: E) -> Self {
         Self {
-            fleet: fleet.build(),
+            fleet,
             config,
-            profile,
-            scheduler,
+            engine,
             ready_at: HashMap::new(),
             last_round_s: 0.0,
             rounds_run: 0,
@@ -172,6 +189,11 @@ impl FleetSim {
     /// The underlying fleet driver (membership state, clock, counters).
     pub fn fleet(&self) -> &FleetDriver {
         &self.fleet
+    }
+
+    /// The engine the harness drives.
+    pub fn engine(&self) -> &E {
+        &self.engine
     }
 
     /// Per-agent head starts carried into the next round — only ever for
@@ -198,28 +220,25 @@ impl FleetSim {
             }
         }
         // The paper's dynamic-environment profile churn applies between
-        // rounds, exactly as in `ComDml::run_round`.
+        // rounds.
         let round = self.fleet.round();
         if let Some(churn) = self.config.churn {
             if churn.interval > 0 && round > 0 && round.is_multiple_of(churn.interval) {
                 self.fleet.world_mut().churn_profiles(churn.fraction);
             }
         }
+        // After an empty round (or before the first), bound the window by
+        // the slowest possible solo task so departures cannot land past
+        // the round's event drain.
         let horizon = if self.last_round_s > 0.0 {
             self.last_round_s * Self::HORIZON_FACTOR
         } else {
-            // First round: bound the window by the slowest possible solo
-            // task so departures cannot land past the round's event drain.
-            let estimator = TrainingTimeEstimator::new(
-                &self.config.model,
-                &self.profile,
-                &self.config.calibration,
-            );
+            let (model, cal) = (&self.config.model, &self.config.calibration);
             self.fleet
                 .world()
                 .agents()
                 .iter()
-                .map(|a| estimator.solo_time_s(a))
+                .map(|a| solo_time_s(model, cal, a))
                 .fold(0.0f64, f64::max)
         };
         let plan = self.fleet.begin_round(horizon);
@@ -250,12 +269,7 @@ impl FleetSim {
             HashMap::new()
         };
 
-        let estimator =
-            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
-        let pairing_timer = comdml_obs::phase("fleet.pairing");
-        let pairings = self.scheduler.pair(self.fleet.world(), &participants, &estimator);
-        drop(pairing_timer);
-        let disruptions: Vec<Disruption> = plan
+        let changes: Vec<Disruption> = plan
             .events
             .iter()
             .filter_map(|e| match e.kind {
@@ -274,26 +288,12 @@ impl FleetSim {
             })
             .collect();
         let joins = plan.events.iter().filter(|e| e.kind == MembershipChange::Join).count();
-        let leaves = disruptions.len() - joins;
+        let leaves = changes.len() - joins;
 
-        let round_timer = comdml_obs::phase("fleet.round");
-        let report = EventRound::new(
-            self.fleet.world(),
-            &pairings,
-            &estimator,
-            &self.config.calibration,
-            self.config.algorithm,
-        )
-        .mode(self.config.aggregation)
-        .granularity(self.config.granularity)
-        .pair_threads(self.config.threads)
-        .disruptions(disruptions)
-        .ready_at(round_carry)
-        .run();
-        drop(round_timer);
+        let input = RoundInput { round, participants: &participants, changes, carry: round_carry };
+        let progress = self.engine.round(self.fleet.world(), input);
 
-        let mut round_s = report.round_end_s.max(0.0);
-        let efficiency = report.efficiency(self.config.staleness_decay);
+        let mut round_s = progress.round_s;
         if round_s <= 0.0 {
             // An extinct (or instantaneous) round must still advance the
             // fleet clock, or pending arrivals could never activate and the
@@ -304,13 +304,8 @@ impl FleetSim {
         self.fleet.end_round(round_s);
         // New carry-over: spill of agents that are still active members,
         // plus the held head starts of active-but-unsampled agents.
-        self.ready_at = report
-            .spill_s
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| s > 0.0 && self.fleet.is_active(AgentId(i)))
-            .map(|(i, &s)| (AgentId(i), s))
-            .collect();
+        self.ready_at =
+            progress.spill.iter().filter(|&&(id, _)| self.fleet.is_active(id)).copied().collect();
         for (id, s) in held {
             if self.fleet.is_active(id) {
                 self.ready_at.insert(id, s);
@@ -319,7 +314,8 @@ impl FleetSim {
 
         // Of the leaves handed to the round, only those landing inside the
         // realized duration actually disrupted it; later forecast events
-        // stay active and are reported the round they commit.
+        // stay active and are reported the round they commit. Closed-form
+        // engines never see the leaves, but are charged the same way.
         let leaves_committed = plan.committed_leaves_among(&participants, round_s);
 
         // An empty round's duration is a fast-forward jump, not a round
@@ -327,9 +323,9 @@ impl FleetSim {
         self.last_round_s = if plan.participants.is_empty() { 0.0 } else { round_s };
         self.rounds_run += 1;
         self.total_sim_s += round_s;
-        self.effective_rounds += efficiency;
-        self.events_processed += report.events_processed;
-        comdml_obs::counter_add("fleet.repairs", report.repairs as u64);
+        self.effective_rounds += progress.efficiency;
+        self.events_processed += progress.events_processed;
+        comdml_obs::counter_add("fleet.repairs", progress.repairs as u64);
         if comdml_obs::trace_enabled() {
             comdml_obs::trace_event(
                 "round",
@@ -337,9 +333,9 @@ impl FleetSim {
                     ("round", comdml_obs::Value::Num(round as f64)),
                     ("participants", comdml_obs::Value::Num(participants.len() as f64)),
                     ("round_s", comdml_obs::Value::Num(round_s)),
-                    ("efficiency", comdml_obs::Value::Num(efficiency)),
-                    ("repairs", comdml_obs::Value::Num(report.repairs as f64)),
-                    ("events", comdml_obs::Value::Num(report.events_processed as f64)),
+                    ("efficiency", comdml_obs::Value::Num(progress.efficiency)),
+                    ("repairs", comdml_obs::Value::Num(progress.repairs as f64)),
+                    ("events", comdml_obs::Value::Num(progress.events_processed as f64)),
                 ],
             );
         }
@@ -347,14 +343,14 @@ impl FleetSim {
             round,
             participants: plan.participants.len(),
             sampled: participants.len(),
-            cohort: report.cohort.len(),
+            cohort: progress.cohort,
             joins,
             leaves,
             leaves_committed,
-            repairs: report.repairs,
+            repairs: progress.repairs,
             round_s,
-            efficiency,
-            events_processed: report.events_processed,
+            efficiency: progress.efficiency,
+            events_processed: progress.events_processed,
         }
     }
 
@@ -364,6 +360,21 @@ impl FleetSim {
             self.step();
         }
         self.report()
+    }
+
+    /// Steps until `model` reaches its target or `max_rounds` rounds have
+    /// run, feeding each round's progress to the model; returns the
+    /// accuracy after each round.
+    pub fn run_to_target(&mut self, model: &mut LearningModel, max_rounds: usize) -> Vec<f64> {
+        let mut trajectory = Vec::new();
+        while trajectory.len() < max_rounds {
+            let summary = self.step();
+            trajectory.push(model.observe(&RoundProgress::from(&summary)));
+            if model.reached() {
+                break;
+            }
+        }
+        trajectory
     }
 
     /// Aggregates over everything run so far.

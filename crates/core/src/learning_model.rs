@@ -38,6 +38,7 @@
 //! assert!(model.accuracy() >= 0.80);
 //! ```
 
+use comdml_simnet::AgentId;
 use serde::{Deserialize, Serialize};
 
 use crate::LearningCurve;
@@ -46,16 +47,17 @@ use crate::LearningCurve;
 /// fraction of agents contributes per round, the global model sees
 /// proportionally less data, shrinking per-round progress — sub-linearly,
 /// because overlapping updates still transfer. This is the single source
-/// of truth for the exponent (`comdml_bench::rounds_with_sampling` and
-/// [`LearningModel`] both use it).
+/// of truth for the exponent.
 pub fn sampling_penalty(rate: f64) -> f64 {
     rate.clamp(0.01, 1.0).powf(0.35)
 }
 
 /// What one simulated round contributed to learning — the
-/// effective-progress inputs every [`crate::RoundEngine`] reports alongside
-/// its round time, consumed by [`LearningModel::observe`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// effective-progress inputs every [`crate::RoundEngine::round`] reports
+/// alongside its round time, consumed by [`LearningModel::observe`], plus
+/// the engine-side facts the [`crate::FleetSim`] harness books (events,
+/// repairs, and the head starts the round spills into the next one).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundProgress {
     /// Simulated seconds the round took.
     pub round_s: f64,
@@ -72,18 +74,35 @@ pub struct RoundProgress {
     /// what churn-coupled accuracy dips
     /// ([`LearningModel::with_churn_dip`]) charge for.
     pub disruptions: usize,
+    /// Events the round engine executed (0 for the closed-form baselines).
+    pub events_processed: u64,
+    /// Successful helper re-pairings after mid-round departures.
+    pub repairs: usize,
+    /// Unfinished work carried into the next round, ascending by agent:
+    /// `(agent, seconds)` for every agent still busy when the round ended
+    /// (semi-sync/async stragglers). Empty under a barrier.
+    pub spill: Vec<(AgentId, f64)>,
 }
 
 impl RoundProgress {
     /// An undisrupted round where every participant aggregated.
     pub fn fresh(round_s: f64, efficiency: f64, participants: usize) -> Self {
-        Self { round_s, efficiency, participants, cohort: participants, disruptions: 0 }
+        Self { efficiency, participants, cohort: participants, ..Self::idle(round_s) }
     }
 
     /// An empty round (extinct fleet fast-forward): time may pass, but no
     /// learning happens.
     pub fn idle(round_s: f64) -> Self {
-        Self { round_s, efficiency: 0.0, participants: 0, cohort: 0, disruptions: 0 }
+        Self {
+            round_s,
+            efficiency: 0.0,
+            participants: 0,
+            cohort: 0,
+            disruptions: 0,
+            events_processed: 0,
+            repairs: 0,
+            spill: Vec::new(),
+        }
     }
 
     /// Sets the disruption count.

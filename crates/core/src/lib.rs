@@ -12,12 +12,16 @@
 //! 3. **Decentralized pairing** ([`PairingScheduler`]) — agents pair
 //!    greedily in descending order of solo training time, each slow agent
 //!    choosing the partner and split that minimize its estimated time.
-//! 4. **Round execution** ([`simulate_round`]) — a per-batch pipeline
-//!    simulation of paired local-loss split training, plus AllReduce
-//!    aggregation cost.
-//! 5. **End-to-end runs** ([`ComDml`]) — time-to-target-accuracy under the
-//!    paper's learning-curve and churn regime, shared with the baselines
-//!    through the [`RoundEngine`] trait.
+//! 4. **Round execution** ([`EventRound`]) — a discrete-event simulation
+//!    of paired local-loss split training, plus AllReduce aggregation
+//!    cost, under synchronous, semi-synchronous or asynchronous
+//!    aggregation.
+//! 5. **End-to-end runs** ([`FleetSim`]) — the one round harness: it owns
+//!    membership, profile churn, participation sampling, carry-over and
+//!    the clock, and drives any [`RoundEngine`] through
+//!    [`RoundEngine::round`]. [`ComDml`] is the default engine; the
+//!    baselines implement the same trait, so every method faces the same
+//!    fleet. A [`LearningModel`] turns the rounds into time-to-accuracy.
 //!
 //! The crate also hosts [`RealSplitFleet`], which runs the same protocol
 //! with *real* gradient descent (miniature models from `comdml-nn`) to
@@ -26,13 +30,15 @@
 //! # Example
 //!
 //! ```
-//! use comdml_core::{ComDml, ComDmlConfig};
-//! use comdml_simnet::WorldConfig;
+//! use comdml_core::{ComDmlConfig, FleetSim, LearningCurve, LearningModel};
+//! use comdml_simnet::FleetConfig;
 //!
-//! let world = WorldConfig::heterogeneous(10, 42).build();
-//! let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-//! assert!(report.total_time_s > 0.0);
-//! assert!(report.rounds > 0);
+//! let fleet = FleetConfig::new(10, 42).samples_per_agent(5_000);
+//! let mut sim = FleetSim::new(fleet, ComDmlConfig::default());
+//! let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+//! sim.run_to_target(&mut model, 1_000);
+//! assert!(model.reached());
+//! assert!(sim.report().total_sim_s > 0.0);
 //! ```
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository
@@ -50,9 +56,7 @@ mod round;
 mod scheduler;
 mod theory;
 
-pub use comdml::{
-    time_to_accuracy, ChurnPolicy, ComDml, ComDmlConfig, ComDmlReport, RoundEngine, TimeToAccuracy,
-};
+pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, RoundEngine, RoundInput};
 pub use estimator::{
     EstimateMemo, FnvBuildHasher, FnvHasher, SplitDecision, TrainingTimeEstimator,
 };

@@ -1,6 +1,7 @@
-//! Named sweep presets: the paper's Table II/III grids, the extended
-//! nine-method comparison, the round-driven convergence showcase, the
-//! CI smoke sweep, and the hostile-world conditions (`@diurnal`,
+//! Named sweep presets: the paper's Table II/III grids and Fig. 3's sparse
+//! topology, the extended nine-method comparison, the round-driven
+//! convergence showcase, the CI smoke sweep, and the hostile-world
+//! conditions (`@diurnal`,
 //! `@partition`, `@byzantine`), as programmatic [`SweepSpec`] builders.
 //! `exp_sweep` can also read them by name (`@table2`, `@smoke`, …)
 //! instead of a spec file; `--list-presets` prints this catalog.
@@ -80,6 +81,30 @@ pub fn table3(seeds: usize) -> SweepSpec {
             .aggregation(AggregationMode::SemiSynchronous { quorum: 0.8, staleness_s: f64::MAX })
             .rounds(30),
     )
+}
+
+/// Fig. 3: time to target accuracy under a random topology keeping only
+/// 20% of the links, with 50 agents, on the three I.I.D. datasets (the
+/// retired `fig3_topology` bench bin, rehosted). Gossip mixes through the
+/// sparse graph's conductance.
+pub fn topology(seeds: usize) -> SweepSpec {
+    let cell = |name: &str, dataset: &str, target: f64, samples: usize| {
+        let mut s = ScenarioSpec::new(name)
+            .agents(50)
+            .topology(Topology::Random { p: 0.2 })
+            .dataset(dataset, true)
+            .target(target)
+            .rounds(60);
+        s.samples_per_agent = samples; // the training set over 50 agents
+        s
+    };
+    let mut spec = SweepSpec::new("topology").seeds(1, seeds);
+    for m in paper_methods() {
+        spec = spec.method(m);
+    }
+    spec.scenario(cell("c10_iid_er20", "cifar10", 0.90, 1_000))
+        .scenario(cell("c100_iid_er20", "cifar100", 0.65, 1_000))
+        .scenario(cell("cinic_iid_er20", "cinic10", 0.75, 1_800))
 }
 
 /// Extended comparison beyond Table II: ComDML against *all eight*
@@ -232,9 +257,10 @@ pub fn byzantine(seeds: usize) -> SweepSpec {
 
 /// The preset catalog: every name [`by_name`] accepts, with a one-line
 /// description (the `--list-presets` output).
-pub const CATALOG: [(&str, &str); 8] = [
+pub const CATALOG: [(&str, &str); 9] = [
     ("table2", "paper Table II: time-to-target, 6 dataset cells x 5 methods"),
     ("table3", "paper Table III stress grid: sampling, churn, sparse topology, dropouts"),
+    ("topology", "paper Fig. 3: 50 agents on a 20%-link random graph, 3 IID datasets"),
     ("extended", "ComDML vs all 8 baselines on IID CIFAR-10 to 90%"),
     ("convergence", "round-driven accuracy-trajectory showcase"),
     ("smoke", "tiny CI sweep: one churny scenario, 3 methods, 2 seeds"),
@@ -252,6 +278,7 @@ pub fn by_name(name: &str, seeds: usize) -> Result<SweepSpec, String> {
     match name {
         "table2" => Ok(table2(seeds)),
         "table3" => Ok(table3(seeds)),
+        "topology" => Ok(topology(seeds)),
         "extended" => Ok(extended(seeds)),
         "convergence" => Ok(convergence(seeds)),
         "smoke" => Ok(smoke()),
@@ -274,6 +301,7 @@ mod tests {
         for spec in [
             table2(5),
             table3(5),
+            topology(2),
             extended(3),
             convergence(3),
             smoke(),

@@ -11,12 +11,10 @@
 //! whatever the worker count or completion order (proven by the property
 //! tests in `tests/sweep.rs`).
 //!
-//! Per job, the harness owns the experiment policies: it drives membership
-//! through [`FleetDriver`]/[`FleetSim`], applies profile churn between
-//! rounds and participation sampling at the round boundary, and hands every
-//! method the *same* participant set through
-//! [`comdml_core::RoundEngine::round_progress_for`] — which is what makes
-//! the per-cell comparisons apples-to-apples.
+//! Per job, one loop drives every method: [`FleetSim`] owns membership,
+//! hostile shaping, profile churn, participation sampling and the clock,
+//! and hands each method's [`RoundEngine`] the *same* participant sets —
+//! which is what makes the per-cell comparisons apples-to-apples.
 //!
 //! # Round-driven accuracy
 //!
@@ -38,10 +36,10 @@ use comdml_baselines::{
     FedProx, GossipLearning, TierBased,
 };
 use comdml_bench::Value;
-use comdml_core::{ComDmlConfig, FleetSim, LearningModel, RoundEngine, RoundProgress};
-use comdml_simnet::{FleetConfig, FleetDriver};
+use comdml_core::{ComDml, ComDmlConfig, FleetSim, LearningModel, RoundEngine};
+use comdml_simnet::FleetConfig;
 
-use crate::{Method, MethodParams, ScenarioSpec, SweepReport, SweepSpec};
+use crate::{Method, ScenarioSpec, SweepReport, SweepSpec};
 
 /// One cell-replication of the sweep matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +69,7 @@ pub struct JobResult {
     pub sim_s: f64,
     /// Mean simulated seconds per simulated round.
     pub mean_round_s: f64,
-    /// Realized mean learning efficiency per round (ComDML: mean
+    /// The engine's learning efficiency per round (ComDML: mean realized
     /// staleness-weighted efficiency; baselines: their analytic factor).
     pub rounds_factor: f64,
     /// Total rounds to the target: realized when the trajectory got there,
@@ -220,7 +218,6 @@ impl ScenarioSpec {
             threads: self.threads,
             aggregation: self.aggregation,
             granularity: self.granularity,
-            curve: self.learning_curve(),
             batch_size: self.batch_size,
             staleness_decay: self.method_params.staleness_decay,
             diurnal: self.diurnal,
@@ -239,18 +236,19 @@ impl ScenarioSpec {
     }
 }
 
-/// Builds the baseline engine for a job, applying the scenario's per-method
-/// parameter overrides. Policies (churn, sampling) are stripped: the
-/// harness applies them and feeds explicit participant sets.
-fn baseline_engine(
+/// Builds the engine for a job, applying the scenario's per-method
+/// parameter overrides. Policies (churn, sampling, hostile shaping) belong
+/// to the harness, which feeds every engine explicit participant sets.
+fn engine(
+    scenario: &ScenarioSpec,
     method: Method,
     seed: u64,
     density: f64,
-    params: &MethodParams,
 ) -> Box<dyn RoundEngine> {
-    let base = BaselineConfig { sampling_rate: 1.0, churn: None, ..BaselineConfig::default() };
+    let base = BaselineConfig::default();
+    let params = &scenario.method_params;
     match method {
-        Method::ComDml => unreachable!("ComDML runs through FleetSim"),
+        Method::ComDml => Box::new(ComDml::seeded(scenario.comdml_config(), seed)),
         Method::FedAvg => Box::new(FedAvg::new(base)),
         Method::AllReduce => Box::new(AllReduceDml::new(base)),
         Method::BrainTorrent => Box::new(BrainTorrent::new(base).with_seed(seed ^ 0x000b_7a10)),
@@ -266,158 +264,43 @@ fn baseline_engine(
     }
 }
 
-/// Everything the per-method round loops feed the shared accounting.
-struct RoundLoop {
-    sim_s: f64,
-    rounds_run: usize,
-    trajectory: Vec<f64>,
-    events: u64,
-    peak: usize,
-    arrivals: usize,
-    departures: usize,
-    rounds_factor: f64,
-}
-
-/// Drives a ComDML job round by round on the elastic fleet, stopping the
-/// round the model reaches the target.
-fn run_comdml(scenario: &ScenarioSpec, seed: u64, model: &mut LearningModel) -> RoundLoop {
-    let mut sim = FleetSim::new(scenario.fleet_config(seed), scenario.comdml_config());
-    let mut trajectory = Vec::new();
-    while model.rounds_observed() < scenario.rounds {
-        let summary = sim.step();
-        trajectory.push(model.observe(&RoundProgress::from(&summary)));
-        if model.reached() {
-            break;
-        }
-    }
-    let r = sim.report();
-    RoundLoop {
-        sim_s: r.total_sim_s,
-        rounds_run: r.rounds,
-        trajectory,
-        events: r.events_processed,
-        peak: r.peak_agents,
-        arrivals: r.arrivals,
-        departures: r.departures,
-        rounds_factor: r.rounds_factor,
-    }
-}
-
-/// Drives a baseline job: the harness owns membership, profile churn and
-/// sampling, the engine prices each round and reports its progress inputs,
-/// and the model decides when the job is done.
-fn run_baseline(
-    scenario: &ScenarioSpec,
-    method: Method,
-    seed: u64,
-    model: &mut LearningModel,
-) -> RoundLoop {
-    let mut driver: FleetDriver = scenario.fleet_config(seed).build();
-    let density = driver.world().adjacency().density();
-    let mut engine = baseline_engine(method, seed, density, &scenario.method_params);
-    let mut sim_s = 0.0f64;
-    let mut horizon = 30.0f64;
-    let mut trajectory = Vec::new();
-    let mut rounds_run = 0usize;
-    for r in 0..scenario.rounds {
-        // Hostile-world shaping at each round start, exactly as `FleetSim`
-        // does it: a pure function of the fleet clock, so baselines face
-        // the same bandwidth troughs and outages ComDML does. (Byzantine
-        // misreports target the pairing broadcast and have no baseline
-        // analogue — the closed-form engines don't pair.)
-        let now = driver.clock_s();
-        if let Some(d) = scenario.diurnal {
-            driver.world_mut().set_link_scale(d.factor_at(now));
-        }
-        if let Some(p) = scenario.partition {
-            match p.cut_at(now) {
-                Some(isolated) => driver.world_mut().set_partition(p.groups, isolated),
-                None => driver.world_mut().clear_partition(),
-            }
-        }
-        if let Some(churn) = scenario.churn {
-            if churn.interval > 0 && r > 0 && r % churn.interval == 0 {
-                driver.world_mut().churn_profiles(churn.fraction);
-            }
-        }
-        let plan = driver.begin_round(horizon);
-        let empty_round = plan.participants.is_empty();
-        let participants = if scenario.sampling_rate < 1.0 {
-            driver.world_mut().sample_participants_among(&plan.participants, scenario.sampling_rate)
-        } else {
-            plan.participants.clone()
-        };
-        let progress = engine.round_progress_for(driver.world(), r, &participants);
-        let mut t = progress.round_s;
-        if t <= 0.0 {
-            // An extinct round must still advance the fleet clock so
-            // pending arrivals can activate (same fast-forward rule as
-            // `FleetSim`).
-            t = driver.seconds_to_next_event().unwrap_or(0.0);
-        }
-        // The closed-form baselines don't simulate mid-round departures,
-        // but the membership process still produces them; churn-coupled
-        // accuracy charges for participant departures committed inside the
-        // realized round — the same rule as `FleetSim`, never twice.
-        let progress = progress.with_disruptions(plan.committed_leaves_among(&participants, t));
-        driver.end_round(t);
-        sim_s += t;
-        rounds_run += 1;
-        // An empty round's duration is a fast-forward jump, not a round
-        // time; don't let it inflate the planning horizon (`FleetSim`
-        // applies the same rule).
-        horizon = if empty_round { 30.0 } else { (t * 2.0).max(1.0) };
-        trajectory.push(model.observe(&progress));
-        if model.reached() {
-            break;
-        }
-    }
-    RoundLoop {
-        sim_s,
-        rounds_run,
-        trajectory,
-        events: 0,
-        peak: driver.peak_active(),
-        arrivals: driver.arrivals_total(),
-        departures: driver.departures_total(),
-        rounds_factor: engine.rounds_factor(),
-    }
-}
-
-/// Runs one job to completion. Pure in `(scenario, method, seed)`.
+/// Runs one job to completion: the method's engine on the scenario's
+/// fleet, round by round, stopping the round the model reaches the target.
+/// Pure in `(scenario, method, seed)`.
 pub fn run_job(scenario: &ScenarioSpec, method: Method, seed: u64) -> JobResult {
+    let fleet = scenario.fleet_config(seed).build();
+    let density = fleet.world().adjacency().density();
+    let engine = engine(scenario, method, seed, density);
+    let mut sim = FleetSim::with_engine(fleet, scenario.comdml_config(), engine);
     let mut model = scenario.learning_model();
-    let run = if method == Method::ComDml {
-        run_comdml(scenario, seed, &mut model)
-    } else {
-        run_baseline(scenario, method, seed, &mut model)
-    };
-    let mean_round_s = run.sim_s / run.rounds_run.max(1) as f64;
+    let trajectory = sim.run_to_target(&mut model, scenario.rounds);
+    let run = sim.report();
+    let mean_round_s = run.total_sim_s / run.rounds.max(1) as f64;
     let rounds_to_target = model.projected_rounds_to_target();
     let time_to_target_s = if model.reached() {
         // Exact: the simulated clock the round the trajectory got there.
-        run.sim_s
+        run.total_sim_s
     } else {
         // Budget exhausted first: extrapolate the remaining rounds at the
         // realized mean pace (the old projection, exactly, when per-round
         // progress was constant).
-        run.sim_s + rounds_to_target.saturating_sub(run.rounds_run) as f64 * mean_round_s
+        run.total_sim_s + rounds_to_target.saturating_sub(run.rounds) as f64 * mean_round_s
     };
     JobResult {
         scenario: scenario.name.clone(),
         method,
         seed,
-        rounds_run: run.rounds_run,
-        sim_s: run.sim_s,
+        rounds_run: run.rounds,
+        sim_s: run.total_sim_s,
         mean_round_s,
-        rounds_factor: run.rounds_factor,
+        rounds_factor: sim.engine().rounds_factor(),
         rounds_to_target,
         time_to_target_s,
         reached_target: model.reached(),
         final_accuracy: model.accuracy(),
-        accuracy_trajectory: run.trajectory,
-        events_processed: run.events,
-        peak_agents: run.peak,
+        accuracy_trajectory: trajectory,
+        events_processed: run.events_processed,
+        peak_agents: run.peak_agents,
         arrivals: run.arrivals,
         departures: run.departures,
     }

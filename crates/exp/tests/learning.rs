@@ -17,8 +17,9 @@ use comdml_baselines::{
     AllReduceDml, BaselineConfig, BrainTorrent, ClassicSplitLearning, DropStragglers, FedAvg,
     FedProx, GossipLearning, TierBased,
 };
-use comdml_bench::rounds_with_sampling;
-use comdml_core::{AggregationMode, ChurnPolicy, FleetSim, RoundEngine};
+use comdml_core::{
+    sampling_penalty, AggregationMode, ChurnPolicy, FleetSim, RoundEngine, RoundInput,
+};
 use comdml_exp::{run_job, Method, MethodParams, ScenarioSpec};
 use comdml_simnet::{ArrivalProcess, FleetDriver, SessionLifetime};
 use proptest::prelude::*;
@@ -31,7 +32,7 @@ fn old_baseline_engine(
     seed: u64,
     density: f64,
 ) -> Box<dyn RoundEngine> {
-    let base = BaselineConfig { sampling_rate: 1.0, churn: None, ..BaselineConfig::default() };
+    let base = BaselineConfig::default();
     let p = &scenario.method_params;
     match method {
         Method::ComDml => unreachable!("ComDML runs through FleetSim"),
@@ -79,7 +80,7 @@ fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, u
             } else {
                 plan.participants
             };
-            let mut t = engine.round_time_for(driver.world(), r, &participants);
+            let mut t = engine.round(driver.world(), RoundInput::new(r, &participants)).round_s;
             if t <= 0.0 {
                 t = driver.seconds_to_next_event().unwrap_or(0.0);
             }
@@ -90,11 +91,9 @@ fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, u
         (scenario.rounds, sim_s, engine.rounds_factor())
     };
     let mean_round_s = sim_s / rounds_run.max(1) as f64;
-    let rounds_to_target = rounds_with_sampling(
-        &scenario.learning_curve(),
+    let rounds_to_target = scenario.learning_curve().rounds_to(
         scenario.target_accuracy,
-        rounds_factor.max(1e-6),
-        scenario.sampling_rate,
+        rounds_factor.max(1e-6) * sampling_penalty(scenario.sampling_rate),
     );
     (mean_round_s * rounds_to_target as f64, rounds_to_target)
 }
@@ -171,6 +170,24 @@ fn early_stopping_reproduces_the_projection_and_saves_rounds() {
         assert!((new.time_to_target_s - new.sim_s).abs() < 1e-12, "reached => exact sim clock");
         let last = *new.accuracy_trajectory.last().expect("non-empty trajectory");
         assert!(last >= 0.80 - 1e-9, "trajectory ends at/above the target: {last}");
+    }
+}
+
+#[test]
+fn first_round_departures_are_charged_to_every_method() {
+    // Every 60 s session ends inside the first round (FedAvg's takes about
+    // 106 s): each method must be charged for the departures the same way,
+    // which the one harness guarantees by planning every method's horizon
+    // with the same rule.
+    let mut scenario = ScenarioSpec::new("first_round_leaves")
+        .agents(8)
+        .rounds(2)
+        .churn_dip(0.5)
+        .lifetime(SessionLifetime::Fixed { duration_s: 60.0 });
+    scenario.samples_per_agent = 2_000;
+    for method in [Method::ComDml, Method::FedAvg, Method::Gossip] {
+        let job = run_job(&scenario, method, 1);
+        assert_eq!(job.accuracy_trajectory[0], 0.0, "{method:?}: first-round departures");
     }
 }
 

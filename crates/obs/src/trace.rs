@@ -102,14 +102,15 @@ pub fn trace_event(kind: &str, fields: Vec<(&str, Value)>) {
         return;
     }
     let st = state();
-    let seq = st.seq.fetch_add(1, Ordering::Relaxed);
-    let mut obj: Vec<(String, Value)> = Vec::with_capacity(fields.len() + 2);
-    obj.push(("t".to_string(), Value::Str(kind.to_string())));
-    obj.push(("seq".to_string(), Value::Num(seq as f64)));
-    obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    let line = Value::Obj(obj).render_compact();
+    // `seq` is drawn under the sink lock, so lines land in `seq` order
+    // whichever threads emit them.
     if let Some(w) = &mut *st.sink.lock().expect("trace sink lock never poisoned") {
-        let _ = writeln!(w, "{line}");
+        let seq = st.seq.fetch_add(1, Ordering::Relaxed);
+        let mut obj: Vec<(String, Value)> = Vec::with_capacity(fields.len() + 2);
+        obj.push(("t".to_string(), Value::Str(kind.to_string())));
+        obj.push(("seq".to_string(), Value::Num(seq as f64)));
+        obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        let _ = writeln!(w, "{}", Value::Obj(obj).render_compact());
         let _ = w.flush(); // one line per event; crash-safe and cheap at trace rates
     }
 }

@@ -188,7 +188,7 @@ pub struct World {
     /// of the fleet read as 0 Mbps until cleared.
     partition: Option<(usize, usize)>,
     /// Drives profile churn only. Participation sampling has its own stream
-    /// ([`World::sample_participants`]) so enabling one feature never
+    /// ([`World::sample_participants_among`]) so enabling one feature never
     /// perturbs the other's outcomes under a fixed seed.
     churn_rng: StdRng,
     participation_rng: StdRng,
@@ -425,22 +425,12 @@ impl World {
     }
 
     /// Samples a participation subset of the given rate (Table III uses a
-    /// 20% sampling rate), always returning at least one agent.
+    /// 20% sampling rate) from `candidates` — in an elastic fleet, the
+    /// currently *active* members. Returns at least one agent (unless
+    /// `candidates` is empty) in ascending id order.
     ///
     /// Draws from a dedicated RNG stream: toggling sampling on or off does
     /// not change which profiles churn re-rolls, and vice versa.
-    pub fn sample_participants(&mut self, rate: f64) -> Vec<AgentId> {
-        let all: Vec<AgentId> = (0..self.agents.len()).map(AgentId).collect();
-        self.sample_participants_among(&all, rate)
-    }
-
-    /// Samples a participation subset of the given rate from an explicit
-    /// candidate set — the elastic-fleet variant of
-    /// [`World::sample_participants`], where the candidates are the
-    /// currently *active* members rather than every agent ever seen.
-    /// Returns at least one agent (unless `candidates` is empty) in
-    /// ascending id order, drawing from the same dedicated participation
-    /// stream.
     pub fn sample_participants_among(&mut self, candidates: &[AgentId], rate: f64) -> Vec<AgentId> {
         let k = candidates.len();
         if k == 0 {
@@ -587,12 +577,16 @@ mod tests {
         assert!(changed >= 1, "churn should usually change something");
     }
 
+    fn all_ids(w: &World) -> Vec<AgentId> {
+        (0..w.num_agents()).map(AgentId).collect()
+    }
+
     #[test]
     fn sampling_respects_rate_and_is_nonempty() {
         let mut w = WorldConfig::heterogeneous(50, 13).build();
-        let s = w.sample_participants(0.2);
+        let s = w.sample_participants_among(&all_ids(&w), 0.2);
         assert_eq!(s.len(), 10);
-        let tiny = w.sample_participants(0.0001);
+        let tiny = w.sample_participants_among(&all_ids(&w), 0.0001);
         assert_eq!(tiny.len(), 1);
     }
 
@@ -601,8 +595,9 @@ mod tests {
         let mut plain = WorldConfig::heterogeneous(20, 11).build();
         let mut sampled = WorldConfig::heterogeneous(20, 11).build();
         // Only one world draws participation samples first…
-        let _ = sampled.sample_participants(0.2);
-        let _ = sampled.sample_participants(0.2);
+        let ids = all_ids(&sampled);
+        let _ = sampled.sample_participants_among(&ids, 0.2);
+        let _ = sampled.sample_participants_among(&ids, 0.2);
         // …yet churn outcomes must stay identical: the streams are decoupled.
         plain.churn_profiles(0.5);
         sampled.churn_profiles(0.5);
@@ -614,7 +609,11 @@ mod tests {
         let mut plain = WorldConfig::heterogeneous(20, 13).build();
         let mut churned = WorldConfig::heterogeneous(20, 13).build();
         churned.churn_profiles(0.5);
-        assert_eq!(plain.sample_participants(0.3), churned.sample_participants(0.3));
+        let ids = all_ids(&plain);
+        assert_eq!(
+            plain.sample_participants_among(&ids, 0.3),
+            churned.sample_participants_among(&ids, 0.3)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the simulation substrate.
 
-use comdml_simnet::{EventQueue, Topology, WorldConfig};
+use comdml_simnet::{AgentId, EventQueue, Topology, WorldConfig};
 use proptest::prelude::*;
 
 /// Reference model for the calendar queue: the binary heap it replaced,
@@ -84,7 +84,8 @@ proptest! {
     #[test]
     fn sampling_invariants(k in 1usize..64, seed in 0u64..u64::MAX, rate in 0.0f64..1.0) {
         let mut world = WorldConfig::heterogeneous(k, seed).build();
-        let sample = world.sample_participants(rate);
+        let all: Vec<AgentId> = (0..k).map(AgentId).collect();
+        let sample = world.sample_participants_among(&all, rate);
         prop_assert!(!sample.is_empty());
         prop_assert!(sample.len() <= k);
         for w in sample.windows(2) {

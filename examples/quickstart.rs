@@ -1,17 +1,23 @@
-//! Quickstart: build a heterogeneous world, run ComDML to a target
-//! accuracy, and inspect what the scheduler decided.
+//! Quickstart: build a heterogeneous fleet, inspect what the scheduler
+//! decides, then drive ComDML through the `FleetSim` round harness to a
+//! target accuracy.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use comdml::core::{ComDml, ComDmlConfig, PairingScheduler, TrainingTimeEstimator};
+use comdml::core::{
+    ComDmlConfig, FleetSim, LearningCurve, LearningModel, PairingScheduler, RoundProgress,
+    TrainingTimeEstimator,
+};
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::WorldConfig;
+use comdml::simnet::FleetConfig;
 
 fn main() {
     // Ten agents with the paper's CPU/link profile mix, sharing CIFAR-10.
-    let world = WorldConfig::heterogeneous(10, 42).total_samples(50_000).build();
+    let fleet = FleetConfig::new(10, 42).samples_per_agent(5_000);
+    let mut sim = FleetSim::new(fleet, ComDmlConfig::default());
+    let world = sim.fleet().world().clone();
     println!("world: {:?}\n", world.summary());
 
     // What does one round's pairing look like?
@@ -41,12 +47,21 @@ fn main() {
         }
     }
 
-    // Run the whole training to 80% accuracy.
-    let mut comdml = ComDml::new(ComDmlConfig::default());
-    let report = comdml.run(&world, 0.80);
+    // Run the whole training to 80% accuracy, round by round.
+    let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+    let mut offloads = 0;
+    while !model.reached() {
+        model.observe(&RoundProgress::from(&sim.step()));
+        offloads += sim.engine().last_outcome().map_or(0, |o| o.num_offloads);
+    }
+    let report = sim.report();
+    let rounds = report.rounds as f64;
     println!(
         "\nComDML reached 80% in {} rounds, {:.0} simulated seconds \
          ({:.1}s/round, {:.1} offloading pairs/round)",
-        report.rounds, report.total_time_s, report.mean_round_s, report.mean_offloads
+        report.rounds,
+        report.total_sim_s,
+        report.total_sim_s / rounds,
+        offloads as f64 / rounds
     );
 }

@@ -1,13 +1,14 @@
 //! ComDML across network topologies (§V-B.5): full mesh, ring, and random
 //! graphs of decreasing connectivity. The scheduler adapts — agents without
-//! useful links simply train independently.
+//! useful links simply train independently. Each run goes through the
+//! `FleetSim` round harness to the target accuracy.
 //!
 //! ```sh
 //! cargo run --example topology_comparison
 //! ```
 
-use comdml::core::{ComDml, ComDmlConfig};
-use comdml::simnet::{Topology, WorldConfig};
+use comdml::core::{ComDmlConfig, FleetSim, LearningCurve, LearningModel, RoundProgress};
+use comdml::simnet::{FleetConfig, Topology};
 
 fn main() {
     let k = 50;
@@ -23,13 +24,22 @@ fn main() {
         ("random p=0.05", Topology::random(0.05)),
         ("ring", Topology::Ring),
     ] {
-        let world =
-            WorldConfig::heterogeneous(k, 42).total_samples(5_000 * k).topology(topo).build();
-        let mut comdml = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let report = comdml.run(&world, 0.80);
+        let fleet = FleetConfig::new(k, 42).samples_per_agent(5_000).topology(topo);
+        let mut sim = FleetSim::new(fleet, ComDmlConfig { churn: None, ..ComDmlConfig::default() });
+        let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+        let mut offloads = 0;
+        while !model.reached() {
+            model.observe(&RoundProgress::from(&sim.step()));
+            offloads += sim.engine().last_outcome().map_or(0, |o| o.num_offloads);
+        }
+        let report = sim.report();
+        let rounds = report.rounds as f64;
         println!(
             "{:<22} {:>10.0} {:>12.1} {:>18.1}",
-            name, report.total_time_s, report.mean_round_s, report.mean_offloads
+            name,
+            report.total_sim_s,
+            report.total_sim_s / rounds,
+            offloads as f64 / rounds
         );
     }
     println!(

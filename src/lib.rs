@@ -26,10 +26,11 @@
 //!   engine (`EventRound`): synchronous, semi-synchronous and asynchronous
 //!   aggregation with FedBuff-style staleness-weighted learning progress,
 //!   mid-round failure re-pairing, per-agent carry-over, coarse
-//!   closed-form event granularity for fleet scale, and `FleetSim` driving
-//!   whole multi-round runs over a churning fleet.
-//! * [`baselines`] — FedAvg, Gossip Learning, BrainTorrent, AllReduce DML —
-//!   all executing on the same shared simulated clock.
+//!   closed-form event granularity for fleet scale, and `FleetSim`, the one
+//!   round harness driving every method's `RoundEngine::round` over a
+//!   churning fleet.
+//! * [`baselines`] — FedAvg, Gossip Learning, BrainTorrent, AllReduce DML
+//!   and more — closed-form engines behind the same harness.
 //! * [`exp`] — declarative scenario specs (`ScenarioSpec`/`SweepSpec`) and
 //!   the parallel `SweepRunner` regenerating the paper's Table II/III grids
 //!   (`exp_sweep`, `paper_tables`) with byte-deterministic reports.
@@ -49,13 +50,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use comdml::core::{ComDml, ComDmlConfig};
-//! use comdml::simnet::WorldConfig;
+//! use comdml::core::{ComDmlConfig, FleetSim, LearningCurve, LearningModel};
+//! use comdml::simnet::FleetConfig;
 //!
 //! # fn main() {
-//! let world = WorldConfig::heterogeneous(10, 42).build();
-//! let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-//! assert!(report.total_time_s > 0.0);
+//! let fleet = FleetConfig::new(10, 42).samples_per_agent(5_000);
+//! let mut sim = FleetSim::new(fleet, ComDmlConfig::default());
+//! let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
+//! sim.run_to_target(&mut model, 1_000);
+//! assert!(sim.report().total_sim_s > 0.0);
 //! # }
 //! ```
 //!

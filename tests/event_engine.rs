@@ -5,11 +5,13 @@
 
 use comdml::collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml::core::{
-    simulate_round, AggregationMode, ComDml, ComDmlConfig, Disruption, EventRound, PairRoundSim,
-    Pairing, PairingScheduler, TrainingTimeEstimator,
+    simulate_round, AggregationMode, ComDml, ComDmlConfig, Disruption, EventRound, FleetSim,
+    PairRoundSim, Pairing, PairingScheduler, RoundEngine, RoundInput, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::{Adjacency, AgentId, AgentProfile, AgentState, World, WorldConfig};
+use comdml::simnet::{
+    Adjacency, AgentId, AgentProfile, AgentState, FleetConfig, World, WorldConfig,
+};
 
 fn fixtures() -> (ModelSpec, SplitProfile, CostCalibration) {
     let spec = ModelSpec::resnet56();
@@ -249,90 +251,81 @@ fn mid_round_joiner_can_host_a_repair() {
     assert_eq!(report.repairs, 1, "the joiner must be drafted: {report:?}");
 }
 
+/// The ids of every agent in `world`.
+fn all_ids(world: &World) -> Vec<AgentId> {
+    world.agents().iter().map(|a| a.id).collect()
+}
+
 #[test]
 fn synchronous_mode_from_config_matches_simulate_round() {
     let world = WorldConfig::heterogeneous(12, 21).build();
-    let mut engine = ComDml::new(ComDmlConfig {
+    let config = ComDmlConfig {
         churn: None,
         aggregation: AggregationMode::Synchronous,
         ..ComDmlConfig::default()
-    });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
-    let report = engine.last_report().expect("event report recorded");
-    assert_eq!(report.outcome, outcome);
-    assert!(report.spill_s.iter().all(|&s| s == 0.0), "a barrier leaves no spill");
-    assert_eq!(report.repairs, 0);
+    };
+    let mut engine = ComDml::new(config.clone());
+    let ids = all_ids(&world);
+    let p = engine.round(&world, RoundInput::new(0, &ids));
+    let est = TrainingTimeEstimator::new(&config.model, engine.profile(), &config.calibration);
+    let pairings = PairingScheduler::new().pair(&world, &ids, &est);
+    let reference = simulate_round(&world, &pairings, &est, &config.calibration, config.algorithm);
+    assert_eq!(engine.last_outcome(), Some(&reference));
+    assert!(p.spill.is_empty(), "a barrier leaves no spill");
+    assert_eq!(p.repairs, 0);
 }
 
 #[test]
 fn semi_synchronous_mode_from_config_skips_stragglers() {
     let world = WorldConfig::heterogeneous(20, 22).build();
+    let ids = all_ids(&world);
     let sync_round = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() })
-        .run_round(&mut world.clone(), 0);
+        .round(&world, RoundInput::new(0, &ids));
 
     let mut engine = ComDml::new(ComDmlConfig {
         churn: None,
         aggregation: AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: 1e9 },
         ..ComDmlConfig::default()
     });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
-    let report = engine.last_report().unwrap().clone();
+    let p = engine.round(&world, RoundInput::new(0, &ids));
 
     assert!(
-        outcome.round_s() <= sync_round.round_s() + 1e-9,
+        p.round_s <= sync_round.round_s + 1e-9,
         "a 50% quorum cannot be slower than the barrier: {} vs {}",
-        outcome.round_s(),
-        sync_round.round_s()
+        p.round_s,
+        sync_round.round_s
     );
-    assert!(report.cohort.len() < 20, "someone must miss the quorum cohort: {:?}", report.cohort);
-    assert!(
-        report.spill_s.iter().any(|&s| s > 0.0),
-        "stragglers must carry work into the next round"
-    );
+    assert!(p.cohort < 20, "someone must miss the quorum cohort: {}", p.cohort);
+    assert!(!p.spill.is_empty(), "stragglers must carry work into the next round");
     // The carry-over is consumed by the next round.
-    let second = engine.run_round(&mut w, 1);
-    assert!(second.round_s().is_finite() && second.round_s() > 0.0);
+    let carry = p.spill.into_iter().collect();
+    let second = engine.round(&world, RoundInput { carry, ..RoundInput::new(1, &ids) });
+    assert!(second.round_s.is_finite() && second.round_s > 0.0);
 }
 
 #[test]
 fn asynchronous_mode_from_config_advances_at_mean_pace() {
     let world = WorldConfig::heterogeneous(20, 23).build();
-    let sync_round = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() })
-        .run_round(&mut world.clone(), 0);
-
-    let mut engine = ComDml::new(ComDmlConfig {
-        churn: None,
-        aggregation: AggregationMode::Asynchronous,
-        ..ComDmlConfig::default()
-    });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
-    let report = engine.last_report().unwrap();
+    let ids = all_ids(&world);
+    let sync_config = ComDmlConfig { churn: None, ..ComDmlConfig::default() };
+    let async_config =
+        ComDmlConfig { aggregation: AggregationMode::Asynchronous, ..sync_config.clone() };
+    let mut sync_engine = ComDml::new(sync_config.clone());
+    sync_engine.round(&world, RoundInput::new(0, &ids));
+    let mut engine = ComDml::new(async_config.clone());
+    let p = engine.round(&world, RoundInput::new(0, &ids));
+    let (sync_compute, async_compute) =
+        (sync_engine.last_outcome().unwrap().compute_s, engine.last_outcome().unwrap().compute_s);
     assert!(
-        outcome.compute_s < sync_round.compute_s,
-        "mean completion {} must undercut the barrier {}",
-        outcome.compute_s,
-        sync_round.compute_s
+        async_compute < sync_compute,
+        "mean completion {async_compute} must undercut the barrier {sync_compute}"
     );
-    assert!(report.spill_s.iter().any(|&s| s > 0.0), "the straggler's tail spills over");
+    assert!(!p.spill.is_empty(), "the straggler's tail spills over");
 
     // Multi-round: async total time stays at or below the barrier total.
-    let mut sync_engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-    let mut async_engine = ComDml::new(ComDmlConfig {
-        churn: None,
-        aggregation: AggregationMode::Asynchronous,
-        ..ComDmlConfig::default()
-    });
-    let mut w_sync = world.clone();
-    let mut w_async = world.clone();
-    let mut total_sync = 0.0;
-    let mut total_async = 0.0;
-    for r in 0..5 {
-        total_sync += sync_engine.run_round(&mut w_sync, r).round_s();
-        total_async += async_engine.run_round(&mut w_async, r).round_s();
-    }
+    let fleet = FleetConfig::new(20, 23).samples_per_agent(2_500);
+    let total_sync = FleetSim::new(fleet.clone(), sync_config).run(5).total_sim_s;
+    let total_async = FleetSim::new(fleet, async_config).run(5).total_sim_s;
     assert!(
         total_async <= total_sync + 1e-9,
         "async pipeline {total_async} must not exceed the barrier {total_sync}"

@@ -3,12 +3,22 @@
 //! independent training if needed" (§V-B.5) — verified by degrading worlds
 //! mid-run.
 
-use comdml::core::{ComDml, ComDmlConfig, PairingScheduler, TrainingTimeEstimator};
+use comdml::core::{
+    ComDml, ComDmlConfig, PairingScheduler, RoundEngine, RoundInput, RoundOutcome,
+    TrainingTimeEstimator,
+};
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::{AgentId, AgentProfile, WorldConfig};
+use comdml::simnet::{AgentId, AgentProfile, World, WorldConfig};
 
 fn no_churn() -> ComDmlConfig {
     ComDmlConfig { churn: None, ..ComDmlConfig::default() }
+}
+
+/// One round of `comdml` over every agent of `world`.
+fn round(comdml: &mut ComDml, world: &World, r: usize) -> RoundOutcome {
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    comdml.round(world, RoundInput::new(r, &ids));
+    comdml.last_outcome().expect("the round ran").clone()
 }
 
 #[test]
@@ -16,14 +26,14 @@ fn helper_link_death_forces_independent_training() {
     let mut world = WorldConfig::heterogeneous(10, 1).total_samples(50_000).build();
     let mut comdml = ComDml::new(no_churn());
 
-    let before = comdml.run_round(&mut world, 0);
+    let before = round(&mut comdml, &world, 0);
     assert!(before.num_offloads > 0, "healthy world should offload");
 
     // Every link dies.
     for a in world.agents_mut().iter_mut() {
         a.profile = AgentProfile::disconnected(a.profile.cpus);
     }
-    let after = comdml.run_round(&mut world, 1);
+    let after = round(&mut comdml, &world, 1);
     assert_eq!(after.num_offloads, 0, "no links, no offloading");
     assert_eq!(after.allreduce_s, 0.0, "no links, no aggregation");
     assert!(after.round_s().is_finite());
@@ -46,7 +56,7 @@ fn single_agent_failure_does_not_stall_the_round() {
     world.agents_mut()[fastest.0].profile =
         AgentProfile::disconnected(world.agent(fastest).profile.cpus);
 
-    let outcome = comdml.run_round(&mut world, 0);
+    let outcome = round(&mut comdml, &world, 0);
     assert!(outcome.round_s().is_finite());
     // The dead agent appears, trains alone, and is excluded from AllReduce.
     let dead_stats = outcome
@@ -102,7 +112,7 @@ fn run_survives_progressive_degradation() {
                 world.agents_mut()[idx].profile = AgentProfile::disconnected(cpus);
             }
         }
-        let outcome = comdml.run_round(&mut world, r);
+        let outcome = round(&mut comdml, &world, r);
         assert!(outcome.round_s().is_finite(), "round {r} must stay finite");
         total += outcome.round_s();
     }

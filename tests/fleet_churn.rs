@@ -13,8 +13,8 @@ use std::collections::HashMap;
 
 use comdml::collective::AllReduceAlgorithm;
 use comdml::core::{
-    staleness_weight, AggregationMode, ComDml, ComDmlConfig, EventGranularity, EventRound,
-    FleetSim, PairingScheduler, TrainingTimeEstimator,
+    staleness_weight, AggregationMode, ComDmlConfig, EventGranularity, EventRound, FleetSim,
+    LearningCurve, LearningModel, PairingScheduler, RoundEngine, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::{AgentId, ArrivalProcess, FleetConfig, SessionLifetime, WorldConfig};
@@ -46,27 +46,28 @@ fn coarse_matches_fine_without_disruptions() {
         AggregationMode::SemiSynchronous { quorum: 0.7, staleness_s: f64::MAX },
         AggregationMode::Asynchronous,
     ] {
-        let world = WorldConfig::heterogeneous(24, 9).total_samples(24 * 2000).build();
-        let mut fine = ComDml::new(config(mode, EventGranularity::Fine));
-        let mut coarse = ComDml::new(config(mode, EventGranularity::Coarse));
-        let mut wf = world.clone();
-        let mut wc = world.clone();
+        let static_fleet = FleetConfig::new(24, 9).samples_per_agent(2_000);
+        let mut fine = FleetSim::new(static_fleet.clone(), config(mode, EventGranularity::Fine));
+        let mut coarse = FleetSim::new(static_fleet, config(mode, EventGranularity::Coarse));
         for r in 0..6 {
-            let of = fine.run_round(&mut wf, r);
-            let oc = coarse.run_round(&mut wc, r);
-            let tol = 1e-9 * of.round_s().max(1.0);
+            let sf = fine.step();
+            let sc = coarse.step();
+            let tol = 1e-9 * sf.round_s.max(1.0);
             assert!(
-                (of.round_s() - oc.round_s()).abs() <= tol,
+                (sf.round_s - sc.round_s).abs() <= tol,
                 "round {r} {mode:?}: {} vs {}",
-                of.round_s(),
-                oc.round_s()
+                sf.round_s,
+                sc.round_s
             );
+            assert_eq!(sf.cohort, sc.cohort, "round {r} {mode:?}");
+            let (of, oc) = (fine.engine().last_outcome(), coarse.engine().last_outcome());
+            let (of, oc) = (of.unwrap(), oc.unwrap());
             assert_eq!(of.num_offloads, oc.num_offloads);
-            let rf = fine.last_report().unwrap();
-            let rc = coarse.last_report().unwrap();
-            assert_eq!(rf.cohort, rc.cohort, "round {r} {mode:?}");
-            for (i, (a, b)) in rf.spill_s.iter().zip(rc.spill_s.iter()).enumerate() {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "spill {i}: {a} vs {b}");
+            let (cf, cc) = (fine.carry_over(), coarse.carry_over());
+            assert_eq!(cf.len(), cc.len(), "round {r} {mode:?}: same agents spill");
+            for (id, a) in cf {
+                let b = cc[id];
+                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "spill {id}: {a} vs {b}");
             }
             for (a, b) in of.agent_stats.iter().zip(oc.agent_stats.iter()) {
                 assert_eq!(a.id, b.id);
@@ -76,10 +77,10 @@ fn coarse_matches_fine_without_disruptions() {
             }
             // Coarse must actually be coarse: far fewer events.
             assert!(
-                rc.events_processed < rf.events_processed / 2,
+                sc.events_processed < sf.events_processed / 2,
                 "coarse {} vs fine {} events",
-                rc.events_processed,
-                rf.events_processed
+                sc.events_processed,
+                sf.events_processed
             );
         }
     }
@@ -123,14 +124,11 @@ fn semi_sync_staleness_separates_modes() {
     // The three aggregation modes must report diverging rounds factors on
     // the same heterogeneous world: sync is fully fresh; semi-sync and
     // async discount stale updates.
-    let world = WorldConfig::heterogeneous(20, 5).total_samples(20 * 2000).build();
     let factor = |mode| {
-        let mut engine = ComDml::new(config(mode, EventGranularity::Coarse));
-        let mut w = world.clone();
-        for r in 0..5 {
-            engine.run_round(&mut w, r);
-        }
-        comdml::core::RoundEngine::rounds_factor(&engine)
+        let static_fleet = FleetConfig::new(20, 5).samples_per_agent(2_000);
+        let mut sim = FleetSim::new(static_fleet, config(mode, EventGranularity::Coarse));
+        sim.run(5);
+        sim.engine().rounds_factor()
     };
     let sync = factor(AggregationMode::Synchronous);
     let semi = factor(AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX });
@@ -142,19 +140,15 @@ fn semi_sync_staleness_separates_modes() {
 #[test]
 fn rounds_factor_is_monotone_in_staleness_decay() {
     // Same run, harsher discount => lower realized rounds factor.
-    let world = WorldConfig::heterogeneous(20, 7).total_samples(20 * 2000).build();
     let factor_with_decay = |decay: f64| {
         let mut cfg = config(
             AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX },
             EventGranularity::Coarse,
         );
         cfg.staleness_decay = decay;
-        let mut engine = ComDml::new(cfg);
-        let mut w = world.clone();
-        for r in 0..5 {
-            engine.run_round(&mut w, r);
-        }
-        comdml::core::RoundEngine::rounds_factor(&engine)
+        let mut sim = FleetSim::new(FleetConfig::new(20, 7).samples_per_agent(2_000), cfg);
+        sim.run(5);
+        sim.engine().rounds_factor()
     };
     let factors: Vec<f64> =
         [0.0, 0.25, 0.5, 1.0, 2.0].iter().map(|&d| factor_with_decay(d)).collect();
@@ -173,12 +167,11 @@ fn rounds_factor_is_monotone_in_staleness_decay() {
 #[test]
 fn semi_sync_run_needs_more_rounds_than_sync() {
     // End-to-end: stale updates advance the learning curve less, so the
-    // adaptive run() takes more wall rounds to the same target.
-    let world = WorldConfig::heterogeneous(16, 11).total_samples(16 * 1500).build();
+    // run to target takes more wall rounds.
     let rounds = |mode| {
-        ComDml::new(ComDmlConfig { churn: None, aggregation: mode, ..ComDmlConfig::default() })
-            .run(&world, 0.80)
-            .rounds
+        let config = ComDmlConfig { churn: None, aggregation: mode, ..ComDmlConfig::default() };
+        let mut sim = FleetSim::new(FleetConfig::new(16, 11).samples_per_agent(1_500), config);
+        sim.run_to_target(&mut LearningModel::new(LearningCurve::cifar10(true), 0.80), 10_000).len()
     };
     let sync = rounds(AggregationMode::Synchronous);
     let semi = rounds(AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX });

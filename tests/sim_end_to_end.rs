@@ -1,41 +1,55 @@
 //! End-to-end simulation tests spanning core, baselines, simnet and cost:
 //! the paper's headline claims must hold as *invariants* of the system.
+//! Every method runs through the one `FleetSim` harness on the same fleet.
 
 use comdml::baselines::{AllReduceDml, BaselineConfig, BrainTorrent, FedAvg, GossipLearning};
 use comdml::core::{
-    time_to_accuracy, ChurnPolicy, ComDml, ComDmlConfig, LearningCurve, RoundEngine,
+    ChurnPolicy, ComDml, ComDmlConfig, FleetReport, FleetSim, LearningCurve, LearningModel,
+    RoundEngine, RoundInput,
 };
-use comdml::simnet::{Topology, WorldConfig};
-
-fn no_churn_base() -> BaselineConfig {
-    BaselineConfig { churn: None, ..BaselineConfig::default() }
-}
+use comdml::simnet::{AgentId, FleetConfig, FleetDriver, Topology};
 
 fn no_churn_comdml() -> ComDmlConfig {
     ComDmlConfig { churn: None, ..ComDmlConfig::default() }
+}
+
+/// A static heterogeneous fleet of `k` agents with `samples` each.
+fn fleet(k: usize, seed: u64, samples: usize) -> FleetDriver {
+    FleetConfig::new(k, seed).samples_per_agent(samples).build()
+}
+
+/// Drives `engine` on `fleet` until `curve` reaches `target`.
+fn to_target(
+    fleet: FleetDriver,
+    engine: impl RoundEngine,
+    curve: LearningCurve,
+    target: f64,
+) -> FleetReport {
+    let mut sim = FleetSim::with_engine(fleet, no_churn_comdml(), engine);
+    sim.run_to_target(&mut LearningModel::new(curve, target), 10_000);
+    sim.report()
+}
+
+fn comdml() -> ComDml {
+    ComDml::new(no_churn_comdml())
 }
 
 #[test]
 fn comdml_beats_every_synchronous_baseline_on_heterogeneous_worlds() {
     let curve = LearningCurve::cifar10(true);
     for seed in [1u64, 7, 42] {
-        let world = WorldConfig::heterogeneous(10, seed).total_samples(50_000).build();
-        let mut comdml = ComDml::new(no_churn_comdml());
-        let t_comdml = time_to_accuracy(&mut comdml, &world, &curve, 0.85);
-
+        let t_comdml = to_target(fleet(10, seed, 5_000), comdml(), curve, 0.85).total_sim_s;
         let baselines: Vec<Box<dyn RoundEngine>> = vec![
-            Box::new(FedAvg::new(no_churn_base())),
-            Box::new(AllReduceDml::new(no_churn_base())),
-            Box::new(BrainTorrent::new(no_churn_base())),
+            Box::new(FedAvg::new(BaselineConfig::default())),
+            Box::new(AllReduceDml::new(BaselineConfig::default())),
+            Box::new(BrainTorrent::new(BaselineConfig::default())),
         ];
-        for mut b in baselines {
-            let t = time_to_accuracy(b.as_mut(), &world, &curve, 0.85);
+        for b in baselines {
+            let method = b.name();
+            let t = to_target(fleet(10, seed, 5_000), b, curve, 0.85).total_sim_s;
             assert!(
-                t_comdml.total_time_s < t.total_time_s,
-                "seed {seed}: ComDML ({:.0}s) should beat {} ({:.0}s)",
-                t_comdml.total_time_s,
-                t.method,
-                t.total_time_s
+                t_comdml < t,
+                "seed {seed}: ComDML ({t_comdml:.0}s) should beat {method} ({t:.0}s)"
             );
         }
     }
@@ -48,11 +62,9 @@ fn comdml_beats_gossip_on_average() {
     let curve = LearningCurve::cifar10(true);
     let (mut total_comdml, mut total_gossip) = (0.0, 0.0);
     for seed in [1u64, 7, 42, 99, 123] {
-        let world = WorldConfig::heterogeneous(10, seed).total_samples(50_000).build();
-        let mut comdml = ComDml::new(no_churn_comdml());
-        let mut gossip = GossipLearning::new(no_churn_base());
-        total_comdml += time_to_accuracy(&mut comdml, &world, &curve, 0.85).total_time_s;
-        total_gossip += time_to_accuracy(&mut gossip, &world, &curve, 0.85).total_time_s;
+        let gossip = GossipLearning::new(BaselineConfig::default());
+        total_comdml += to_target(fleet(10, seed, 5_000), comdml(), curve, 0.85).total_sim_s;
+        total_gossip += to_target(fleet(10, seed, 5_000), gossip, curve, 0.85).total_sim_s;
     }
     assert!(
         total_comdml < 0.9 * total_gossip,
@@ -69,11 +81,9 @@ fn comdml_reduction_vs_fedavg_is_large() {
     let curve = LearningCurve::cifar10(true);
     let mut reductions = Vec::new();
     for seed in [1u64, 7, 42, 99] {
-        let world = WorldConfig::heterogeneous(10, seed).total_samples(50_000).build();
-        let mut comdml = ComDml::new(no_churn_comdml());
-        let mut fedavg = FedAvg::new(no_churn_base());
-        let a = time_to_accuracy(&mut comdml, &world, &curve, 0.90).total_time_s;
-        let b = time_to_accuracy(&mut fedavg, &world, &curve, 0.90).total_time_s;
+        let fedavg = FedAvg::new(BaselineConfig::default());
+        let a = to_target(fleet(10, seed, 5_000), comdml(), curve, 0.90).total_sim_s;
+        let b = to_target(fleet(10, seed, 5_000), fedavg, curve, 0.90).total_sim_s;
         reductions.push(1.0 - a / b);
     }
     let mean = reductions.iter().sum::<f64>() / reductions.len() as f64;
@@ -83,16 +93,14 @@ fn comdml_reduction_vs_fedavg_is_large() {
 #[test]
 fn homogeneous_world_gains_little_from_balancing() {
     // When every agent is identical there are no stragglers to fix.
-    let mut world = WorldConfig::heterogeneous(10, 3).build();
-    for a in world.agents_mut().iter_mut() {
+    let mut homogeneous = fleet(10, 3, 5_000);
+    for a in homogeneous.world_mut().agents_mut().iter_mut() {
         a.profile = comdml::simnet::AgentProfile::new(1.0, 50.0);
-        a.num_samples = 5_000;
     }
     let curve = LearningCurve::cifar10(true);
-    let mut comdml = ComDml::new(no_churn_comdml());
-    let mut allreduce = AllReduceDml::new(no_churn_base());
-    let a = time_to_accuracy(&mut comdml, &world, &curve, 0.85).total_time_s;
-    let b = time_to_accuracy(&mut allreduce, &world, &curve, 0.85).total_time_s;
+    let allreduce = AllReduceDml::new(BaselineConfig::default());
+    let a = to_target(homogeneous.clone(), comdml(), curve, 0.85).total_sim_s;
+    let b = to_target(homogeneous, allreduce, curve, 0.85).total_sim_s;
     assert!(
         (a - b).abs() / b < 0.05,
         "homogeneous fleets should tie: ComDML {a:.0}s vs AllReduce {b:.0}s"
@@ -101,14 +109,20 @@ fn homogeneous_world_gains_little_from_balancing() {
 
 #[test]
 fn churn_does_not_break_comdml() {
-    let world = WorldConfig::heterogeneous(20, 11).total_samples(100_000).build();
-    let mut comdml = ComDml::new(ComDmlConfig {
+    let config = ComDmlConfig {
         churn: Some(ChurnPolicy { interval: 3, fraction: 0.5 }),
         ..ComDmlConfig::default()
-    });
-    let report = comdml.run(&world, 0.85);
-    assert!(report.total_time_s.is_finite() && report.total_time_s > 0.0);
-    assert!(report.mean_offloads > 0.0, "scheduler keeps pairing through churn");
+    };
+    let mut sim = FleetSim::new(FleetConfig::new(20, 11).samples_per_agent(5_000), config);
+    let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.85);
+    let mut offloads = 0;
+    while !model.reached() {
+        model.observe(&(&sim.step()).into());
+        offloads += sim.engine().last_outcome().expect("a round ran").num_offloads;
+    }
+    let total_s = sim.report().total_sim_s;
+    assert!(total_s.is_finite() && total_s > 0.0);
+    assert!(offloads > 0, "scheduler keeps pairing through churn");
 }
 
 #[test]
@@ -116,12 +130,9 @@ fn sparse_topologies_degrade_gracefully() {
     let curve = LearningCurve::cifar10(true);
     let mut last = 0.0;
     for p in [1.0, 0.2, 0.02] {
-        let world = WorldConfig::heterogeneous(30, 5)
-            .total_samples(150_000)
-            .topology(Topology::random(p))
-            .build();
-        let mut comdml = ComDml::new(no_churn_comdml());
-        let t = time_to_accuracy(&mut comdml, &world, &curve, 0.85).total_time_s;
+        let sparse =
+            FleetConfig::new(30, 5).samples_per_agent(5_000).topology(Topology::random(p)).build();
+        let t = to_target(sparse, comdml(), curve, 0.85).total_sim_s;
         assert!(t.is_finite() && t > 0.0, "p={p} must still train");
         assert!(
             t >= last * 0.95,
@@ -135,39 +146,37 @@ fn sparse_topologies_degrade_gracefully() {
 fn disconnected_world_trains_independently() {
     // p = 0: no links at all. Everybody trains alone; no offloads, no
     // aggregation — and nothing hangs or divides by zero.
-    let world = WorldConfig::heterogeneous(8, 9).topology(Topology::random(0.0)).build();
-    let mut comdml = ComDml::new(no_churn_comdml());
-    let mut w = world.clone();
-    let outcome = comdml.run_round(&mut w, 0);
-    assert_eq!(outcome.num_offloads, 0);
-    assert!(outcome.round_s().is_finite());
+    let isolated = FleetConfig::new(8, 9).topology(Topology::random(0.0)).build();
+    let world = isolated.world();
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    let mut engine = comdml();
+    let p = engine.round(world, RoundInput::new(0, &ids));
+    assert_eq!(engine.last_outcome().unwrap().num_offloads, 0);
+    assert!(p.round_s.is_finite());
 }
 
 #[test]
 fn resnet110_takes_longer_than_resnet56() {
-    let world = WorldConfig::heterogeneous(10, 13).build();
     let curve56 = LearningCurve::cifar10(true);
     let curve110 = curve56.deeper();
-    let mut c56 = ComDml::new(no_churn_comdml());
-    let mut c110 = ComDml::new(ComDmlConfig {
+    let c110 = ComDml::new(ComDmlConfig {
         model: comdml::cost::ModelSpec::resnet110(),
-        curve: curve110,
         churn: None,
         ..ComDmlConfig::default()
     });
-    let t56 = time_to_accuracy(&mut c56, &world, &curve56, 0.80).total_time_s;
-    let t110 = time_to_accuracy(&mut c110, &world, &curve110, 0.80).total_time_s;
+    let t56 = to_target(fleet(10, 13, 5_000), comdml(), curve56, 0.80).total_sim_s;
+    let t110 = to_target(fleet(10, 13, 5_000), c110, curve110, 0.80).total_sim_s;
     assert!(t110 > 1.5 * t56, "the deeper model should cost clearly more: {t110:.0} vs {t56:.0}");
 }
 
 #[test]
 fn gossip_trades_cheap_rounds_for_more_rounds() {
-    let world = WorldConfig::heterogeneous(10, 17).build();
     let curve = LearningCurve::cifar10(true);
-    let mut gossip = GossipLearning::new(no_churn_base());
-    let mut fedavg = FedAvg::new(no_churn_base());
-    let g = time_to_accuracy(&mut gossip, &world, &curve, 0.85);
-    let f = time_to_accuracy(&mut fedavg, &world, &curve, 0.85);
+    let gossip = GossipLearning::new(BaselineConfig::default());
+    let fedavg = FedAvg::new(BaselineConfig::default());
+    let g = to_target(fleet(10, 17, 5_000), gossip, curve, 0.85);
+    let f = to_target(fleet(10, 17, 5_000), fedavg, curve, 0.85);
     assert!(g.rounds > f.rounds, "gossip needs more rounds");
-    assert!(g.mean_round_s < f.mean_round_s, "gossip rounds are cheaper");
+    let mean_round_s = |r: &FleetReport| r.total_sim_s / r.rounds as f64;
+    assert!(mean_round_s(&g) < mean_round_s(&f), "gossip rounds are cheaper");
 }
