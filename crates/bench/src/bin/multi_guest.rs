@@ -1,8 +1,12 @@
 //! Multi-guest offloading extension (Eq. 4 permits a fast agent to host
 //! several slow agents; Algorithm 1 assigns at most one). Measures when the
 //! extra capacity pays off: fleets where stragglers outnumber helpers.
+//! Every column is the one `PairingScheduler`, built with
+//! `PairingScheduler::new().capacity(c)`; capacity 1 is Algorithm 1.
+//!
+//! Run with `cargo run --release -p comdml-bench --bin multi_guest`.
 
-use comdml_core::{pair_with_capacity, PairingScheduler, TrainingTimeEstimator};
+use comdml_core::{PairingScheduler, TrainingTimeEstimator};
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml_simnet::{Adjacency, AgentId, AgentProfile, AgentState, World};
 
@@ -42,11 +46,7 @@ fn main() {
         let mut row =
             format!("{:<22} {:>10.1}", format!("{num_slow} slow / {num_fast} fast"), solo);
         for cap in [1usize, 2, 3] {
-            let pairings = if cap == 1 {
-                PairingScheduler::new().pair(&world, &ids, &est)
-            } else {
-                pair_with_capacity(&world, &ids, &est, cap)
-            };
+            let pairings = PairingScheduler::new().capacity(cap).pair(&world, &ids, &est);
             let makespan = pairings.iter().map(|p| p.est_time_s).fold(0.0, f64::max);
             row.push_str(&format!(" {makespan:>10.1}"));
         }

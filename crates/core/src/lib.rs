@@ -11,7 +11,9 @@
 //!    Ñᵢ/pⱼᵐ)`, minimized over `m`.
 //! 3. **Decentralized pairing** ([`PairingScheduler`]) — agents pair
 //!    greedily in descending order of solo training time, each slow agent
-//!    choosing the partner and split that minimize its estimated time.
+//!    choosing the partner and split that minimize its estimated time. The
+//!    same scheduler covers Eq. 4's multi-guest helpers through
+//!    [`PairingScheduler::capacity`], priced by [`helper_completion_s`].
 //! 4. **Round execution** ([`EventRound`]) — a discrete-event simulation
 //!    of paired local-loss split training, plus AllReduce aggregation
 //!    cost, under synchronous, semi-synchronous or asynchronous
@@ -50,7 +52,6 @@ mod event_round;
 mod fleet;
 mod learning_curve;
 mod learning_model;
-mod multi;
 mod real_fleet;
 mod round;
 mod scheduler;
@@ -67,8 +68,7 @@ pub use event_round::{
 pub use fleet::{FleetReport, FleetRoundSummary, FleetSim};
 pub use learning_curve::{staleness_weight, LearningCurve};
 pub use learning_model::{sampling_penalty, LearningModel, RoundProgress};
-pub use multi::{helper_completion_s, pair_with_capacity, MultiPairing};
 pub use real_fleet::{InputHook, ParamHook, RealFleetConfig, RealFleetReport, RealSplitFleet};
-pub use round::{simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
+pub use round::{helper_completion_s, simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
 pub use scheduler::{Pairing, PairingOrder, PairingScheduler};
 pub use theory::ConvergenceConstants;

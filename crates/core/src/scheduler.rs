@@ -38,14 +38,26 @@ pub enum PairingOrder {
 ///
 /// Every round, agents broadcast their processing speed and estimated solo
 /// training time; the scheduler walks the agents in descending order of solo
-/// time ("prioritizing the slowest agent first") and lets each still-unpaired
-/// agent pick the unpaired, reachable neighbour and split that minimize its
-/// estimated time. An agent pairs only when the best option beats training
-/// alone; otherwise it trains independently.
+/// time ("prioritizing the slowest agent first", ties by ascending id) and
+/// lets each still-unscheduled agent pick the available, reachable
+/// neighbour and split that minimize its estimated time. An agent pairs
+/// only when the best option beats training alone; otherwise it trains
+/// independently. Among equally good options the lexicographic minimum of
+/// `(est, τ̂ⱼ, id)` wins: the less busy helper first, then the lower id.
 ///
 /// The implementation is deliberately a pure function of shared, local
 /// information (speeds, solo times, link speeds) — exactly what each agent
 /// could compute for itself in the decentralized protocol.
+///
+/// # Helper capacity
+///
+/// Eq. 4 sums helper-side costs over every guest a helper hosts, while
+/// Algorithm 1 assigns at most one. [`PairingScheduler::capacity`] lets a
+/// helper host up to `c` guests (the default, 1, is Algorithm 1). A helper
+/// that takes a guest is scheduled — it is never visited as a slow agent
+/// and appears only in its guests' `fast` fields. While it is below
+/// capacity it stays a candidate, and its `τ̂ⱼ` becomes the accepted pair's
+/// estimate, so later guests queue behind the earlier ones.
 ///
 /// # Byzantine misreports
 ///
@@ -59,14 +71,17 @@ pub enum PairingOrder {
 ///
 /// # Scaling
 ///
-/// Paired-membership checks use O(1) indexed flags, and candidate search is
-/// driven by sorted candidate lists with two exact prunes:
+/// Scheduled-membership checks use O(1) indexed flags, and candidate search
+/// is driven by sorted candidate lists with two exact prunes:
 ///
 /// * a candidate whose own task `τ̂ⱼ` already exceeds the best estimate so
 ///   far can never win (the fast arm of line 18 is bounded below by `τ̂ⱼ`);
-/// * on a full mesh, within a `(CPU, link, batch size)` profile class the
-///   unpaired candidate with the smallest `τ̂ⱼ` dominates every other
-///   member, so at most one estimator call per class is needed.
+/// * on a full mesh, within a profile class the available candidate with
+///   the smallest `τ̂ⱼ` dominates every other member, so at most one
+///   estimator call per class is needed. A class is keyed by everything
+///   the estimate reads of a helper — CPU, link class and batch size — plus
+///   its side of an active [`World::set_partition`] cut, so every member
+///   of a class is reachable from the same slow agents.
 ///
 /// Together these take one pairing round from the seed's O(n³)-flavoured
 /// scan to roughly O(n·(C + log n)) for C profile classes — the 10,000-agent
@@ -89,11 +104,19 @@ pub enum PairingOrder {
 /// let pairings = PairingScheduler::new().pair(&world, &ids, &est);
 /// assert_eq!(pairings.iter().map(|p| 1 + p.fast.is_some() as usize).sum::<usize>(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct PairingScheduler {
     /// Byzantine speed misreporting applied to the broadcast, as
     /// `(config, salt)`; `None` = everyone is honest.
     misreport: Option<(ByzantineConfig, u64)>,
+    /// Most guests one helper may host (1 = Algorithm 1).
+    capacity: usize,
+}
+
+impl Default for PairingScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// The pairing broadcast as the scheduler sees it: true agent states with
@@ -159,12 +182,24 @@ impl ClassList {
         }
         None
     }
+
+    /// Moves unpaired member `id` from `(old, id)` to its `(new, id)`
+    /// position. `new >= old` (a loaded helper only gets busier), so the
+    /// entry moves past the cursor and never behind it.
+    fn requeue(&mut self, id: AgentId, old: f64, new: f64) {
+        let from = self.members.partition_point(|&e| e < (old, id));
+        debug_assert_eq!(self.members[from].1, id, "requeued agent must be a member");
+        self.members.remove(from);
+        let to = self.members.partition_point(|&e| e < (new, id));
+        self.members.insert(to, (new, id));
+    }
 }
 
 impl PairingScheduler {
-    /// Creates a scheduler that trusts every broadcast.
+    /// Creates a scheduler that trusts every broadcast and lets each helper
+    /// host one guest (Algorithm 1).
     pub fn new() -> Self {
-        Self { misreport: None }
+        Self { misreport: None, capacity: 1 }
     }
 
     /// Returns a scheduler whose broadcast is poisoned by Byzantine speed
@@ -173,14 +208,27 @@ impl PairingScheduler {
     /// typically the scenario seed, so the liar set varies across seeds but
     /// is identical across threads and replays.
     pub fn with_misreport(config: ByzantineConfig, salt: u64) -> Self {
-        Self { misreport: Some((config, salt)) }
+        Self { misreport: Some((config, salt)), ..Self::new() }
+    }
+
+    /// Lets each helper host up to `capacity` guests (see the type-level
+    /// "Helper capacity" section); 1 is Algorithm 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn capacity(self, capacity: usize) -> Self {
+        assert!(capacity > 0, "helper capacity must be positive");
+        Self { capacity, ..self }
     }
 
     /// Runs one round of pairing over `participants`, slowest first.
     ///
     /// Returns one [`Pairing`] per *slow* agent; agents that act as helpers
-    /// appear only in the `fast` field of their partner's pairing. Every
-    /// participant appears exactly once across the result.
+    /// appear only in the `fast` field of their guests' pairings. Every
+    /// participant is covered: exactly once at capacity 1, and at higher
+    /// capacity a helper may repeat across `fast` fields but is never a
+    /// `slow`.
     pub fn pair(
         &self,
         world: &World,
@@ -243,7 +291,7 @@ impl PairingScheduler {
     }
 
     /// The shared pairing loop: visits agents in the given order, finding
-    /// each unpaired one its best unpaired partner.
+    /// each unscheduled one its best available partner.
     fn pair_ordered(
         &self,
         bcast: &Broadcast<'_>,
@@ -253,26 +301,33 @@ impl PairingScheduler {
     ) -> Vec<Pairing> {
         let world = bcast.world;
         let k = world.num_agents();
+        // `paired[x]`: x cannot be a helper — not a participant, already
+        // scheduled as a slow agent, or hosting a full load of guests.
         let mut paired = vec![true; k];
         for &(id, _) in order {
             paired[id.0] = false; // participants start unpaired
         }
+        // Guest counts of helpers below capacity. Such a helper is still a
+        // candidate but is never visited as a slow agent. Stays empty at
+        // capacity 1, where the first guest fills a helper.
+        let mut hosting: HashMap<usize, usize, FnvBuildHasher> = HashMap::default();
         let full_mesh = world.adjacency().is_full_mesh();
 
-        // Full-mesh fast path: group candidates by (CPU, link) profile
-        // class; within a class only the smallest-τ̂ⱼ unpaired member can
-        // be optimal, so each class is one peek + at most one estimate.
+        // Full-mesh fast path: group candidates by profile class; within a
+        // class only the smallest-τ̂ⱼ unpaired member can be optimal, so
+        // each class is one peek + at most one estimate. batch_size feeds
+        // batches_per_s, so with CPU and link class it fixes the helper
+        // speed p_j; the partition side fixes which slow agents reach it.
+        let class_key = |id: AgentId| {
+            let agent = bcast.agent(id);
+            let prof = agent.profile;
+            (prof.cpus.to_bits(), prof.link_mbps.to_bits(), agent.batch_size, world.isolated(id))
+        };
+        let mut index: HashMap<(u64, u64, usize, bool), usize> = HashMap::new();
         let mut classes: Vec<ClassList> = Vec::new();
         if full_mesh {
-            let mut index: HashMap<(u64, u64, usize), usize> = HashMap::new();
             for &(id, solo) in order {
-                let agent = bcast.agent(id);
-                let prof = agent.profile;
-                // batch_size feeds batches_per_s, so it is part of the class
-                // identity: within a class the helper speed p_j is constant
-                // and the smallest-τ̂ⱼ member dominates.
-                let key = (prof.cpus.to_bits(), prof.link_mbps.to_bits(), agent.batch_size);
-                let slot = *index.entry(key).or_insert_with(|| {
+                let slot = *index.entry(class_key(id)).or_insert_with(|| {
                     classes.push(ClassList { members: Vec::new(), cursor: 0 });
                     classes.len() - 1
                 });
@@ -284,7 +339,8 @@ impl PairingScheduler {
                 });
             }
         }
-        // Sparse fallback: solo times by id for neighbour scans.
+        // Current τ̂ by id: the sparse path's neighbour scans read it, and a
+        // loaded helper's entry tracks its accepted pair's estimate.
         let mut solo_of: Vec<f64> = vec![f64::INFINITY; k];
         for &(id, solo) in order {
             solo_of[id.0] = solo;
@@ -292,7 +348,7 @@ impl PairingScheduler {
 
         let mut out = Vec::with_capacity(order.len());
         for &(i, solo_i) in order {
-            if paired[i.0] {
+            if paired[i.0] || hosting.contains_key(&i.0) {
                 continue;
             }
             let slow_state = bcast.agent(i);
@@ -357,23 +413,35 @@ impl PairingScheduler {
                 }
             }
 
-            match best {
-                // Lines 13-14: pair with j* when offloading wins.
-                Some((j, d)) => {
-                    paired[i.0] = true;
-                    paired[j.0] = true;
-                    out.push(Pairing {
-                        slow: i,
-                        fast: Some(j),
-                        offload: d.offload,
-                        est_time_s: d.est_time_s,
-                    });
-                }
-                None => {
-                    paired[i.0] = true;
-                    out.push(Pairing { slow: i, fast: None, offload: 0, est_time_s: solo_i });
-                }
+            paired[i.0] = true;
+            let Some((j, d)) = best else {
+                out.push(Pairing { slow: i, fast: None, offload: 0, est_time_s: solo_i });
+                continue;
+            };
+            // Lines 13-14: pair with j* when offloading wins.
+            out.push(Pairing {
+                slow: i,
+                fast: Some(j),
+                offload: d.offload,
+                est_time_s: d.est_time_s,
+            });
+            if self.capacity == 1 {
+                paired[j.0] = true;
+                continue;
             }
+            let guests = hosting.entry(j.0).or_insert(0);
+            *guests += 1;
+            if *guests == self.capacity {
+                paired[j.0] = true;
+                continue;
+            }
+            // A helper below capacity stays a candidate, busy until its
+            // accepted pair's estimated completion.
+            let loaded = d.est_time_s;
+            if full_mesh {
+                classes[index[&class_key(j)]].requeue(j, solo_of[j.0], loaded);
+            }
+            solo_of[j.0] = loaded;
         }
         out
     }
@@ -511,21 +579,31 @@ mod tests {
     #[test]
     fn full_mesh_and_matrix_mesh_agree() {
         // The class-pruned fast path must pick the same matching as the
-        // generic neighbour scan on an explicit all-ones matrix.
+        // generic neighbour scan on an explicit all-ones matrix, also under
+        // a partition cut (a class's best member across the cut must not
+        // hide a reachable member on this side) and with loaded helpers.
         let (spec, profile, cal) = fixtures();
         let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
         for seed in 0..10 {
-            let implicit = WorldConfig::heterogeneous(24, seed).build();
+            let mut implicit = WorldConfig::heterogeneous(24, seed).build();
             assert!(implicit.adjacency().is_full_mesh());
             let k = implicit.num_agents();
             let matrix: Vec<Vec<bool>> = (0..k).map(|i| (0..k).map(|j| i != j).collect()).collect();
-            let explicit =
+            let mut explicit =
                 World::from_parts(implicit.agents().to_vec(), Adjacency::from_matrix(matrix), seed);
             let ids: Vec<AgentId> = implicit.agents().iter().map(|a| a.id).collect();
-            let sched = PairingScheduler::new();
-            let a = sched.pair(&implicit, &ids, &est);
-            let b = sched.pair(&explicit, &ids, &est);
-            assert_eq!(a, b, "seed {seed}");
+            for partitioned in [false, true] {
+                if partitioned {
+                    implicit.set_partition(3, (seed % 3) as usize);
+                    explicit.set_partition(3, (seed % 3) as usize);
+                }
+                for cap in 1..=2 {
+                    let sched = PairingScheduler::new().capacity(cap);
+                    let a = sched.pair(&implicit, &ids, &est);
+                    let b = sched.pair(&explicit, &ids, &est);
+                    assert_eq!(a, b, "seed {seed}, partitioned {partitioned}, capacity {cap}");
+                }
+            }
         }
     }
 
@@ -642,5 +720,124 @@ mod tests {
         }
         seen.sort();
         assert_eq!(seen, participants, "non-participants must never be drafted");
+    }
+
+    #[test]
+    fn capacity_one_is_a_matching() {
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        let world = WorldConfig::heterogeneous(10, 3).build();
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let sched = PairingScheduler::new();
+        let pairings = sched.capacity(1).pair(&world, &ids, &est);
+        assert_eq!(pairings, sched.pair(&world, &ids, &est), "capacity 1 is the default");
+        let mut helpers: Vec<AgentId> = pairings.iter().filter_map(|p| p.fast).collect();
+        let before = helpers.len();
+        helpers.sort();
+        helpers.dedup();
+        assert_eq!(before, helpers.len(), "no helper repeats at capacity 1");
+    }
+
+    #[test]
+    fn one_strong_helper_hosts_two_stragglers() {
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        // Two 0.2-CPU stragglers, one idle 4-CPU helper with a tiny own task.
+        let agents = vec![
+            AgentState::new(AgentId(0), AgentProfile::new(0.2, 100.0), 5000, 100),
+            AgentState::new(AgentId(1), AgentProfile::new(0.2, 100.0), 5000, 100),
+            AgentState::new(AgentId(2), AgentProfile::new(4.0, 100.0), 500, 100),
+        ];
+        let adj = Adjacency::from_matrix(vec![
+            vec![false, true, true],
+            vec![true, false, true],
+            vec![true, true, false],
+        ]);
+        let world = World::from_parts(agents, adj, 0);
+        let ids = [AgentId(0), AgentId(1), AgentId(2)];
+        let single = PairingScheduler::new().pair(&world, &ids, &est);
+        let multi = PairingScheduler::new().capacity(2).pair(&world, &ids, &est);
+        let offloads = |ps: &[Pairing]| ps.iter().filter(|p| p.fast.is_some()).count();
+        assert_eq!(offloads(&single), 1, "capacity 1: only one straggler helped");
+        assert_eq!(offloads(&multi), 2, "capacity 2: both stragglers helped");
+        // The second straggler's makespan improves.
+        let makespan = |ps: &[Pairing]| ps.iter().map(|p| p.est_time_s).fold(0.0, f64::max);
+        assert!(makespan(&multi) < makespan(&single));
+    }
+
+    #[test]
+    fn later_guests_see_loaded_helpers() {
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        let world = WorldConfig::heterogeneous(15, 9).build();
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let pairings = PairingScheduler::new().capacity(3).pair(&world, &ids, &est);
+        // Entries that share a helper must have non-decreasing estimates in
+        // assignment order (each guest queues behind the previous).
+        for (a_idx, a) in pairings.iter().enumerate() {
+            for b in pairings.iter().skip(a_idx + 1) {
+                if a.fast.is_some() && a.fast == b.fast {
+                    assert!(b.est_time_s >= a.est_time_s - 1e-9);
+                }
+            }
+        }
+    }
+
+    /// No agent may be both a helper and a slow agent, and every
+    /// participant must be covered by the result.
+    fn assert_helpers_never_schedule_themselves(ids: &[AgentId], ps: &[Pairing]) {
+        let slows: Vec<AgentId> = ps.iter().map(|p| p.slow).collect();
+        for p in ps {
+            if let Some(f) = p.fast {
+                assert!(!slows.contains(&f), "helper {f:?} also scheduled as a slow agent: {ps:?}");
+            }
+        }
+        let mut seen: Vec<AgentId> =
+            ps.iter().flat_map(|p| [Some(p.slow), p.fast]).flatten().collect();
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen, ids, "every participant covered: {ps:?}");
+    }
+
+    #[test]
+    fn helpers_never_schedule_themselves() {
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        let world = WorldConfig::heterogeneous(6, 0).build();
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let ps = PairingScheduler::new().capacity(2).pair(&world, &ids, &est);
+        assert_helpers_never_schedule_themselves(&ids, &ps);
+
+        // Two 0.2-CPU stragglers and two 4-CPU helpers on a matrix mesh:
+        // both helpers take a guest, so neither trains as a slow agent.
+        let mut agents = Vec::new();
+        for i in 0..4 {
+            let (cpus, samples) = if i < 2 { (0.2, 5_000) } else { (4.0, 2_000) };
+            agents.push(AgentState::new(AgentId(i), AgentProfile::new(cpus, 100.0), samples, 100));
+        }
+        let matrix: Vec<Vec<bool>> = (0..4).map(|i| (0..4).map(|j| i != j).collect()).collect();
+        let world = World::from_parts(agents, Adjacency::from_matrix(matrix), 0);
+        let ids: Vec<AgentId> = (0..4).map(AgentId).collect();
+        for cap in 1..=3 {
+            let ps = PairingScheduler::new().capacity(cap).pair(&world, &ids, &est);
+            assert_eq!(ps.len(), 2, "capacity {cap}: two guests, no helper entries: {ps:?}");
+            assert_helpers_never_schedule_themselves(&ids, &ps);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "helper capacity must be positive")]
+    fn zero_capacity_panics() {
+        let _ = PairingScheduler::new().capacity(0);
+    }
+
+    #[test]
+    fn default_scheduler_is_algorithm_one() {
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        let world = WorldConfig::heterogeneous(12, 4).build();
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let default = PairingScheduler::default().pair(&world, &ids, &est);
+        assert_eq!(default, PairingScheduler::new().pair(&world, &ids, &est));
     }
 }

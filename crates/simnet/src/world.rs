@@ -349,10 +349,8 @@ impl World {
         if i == j || !self.adjacency.connected(i.0, j.0) {
             return 0.0;
         }
-        if let Some((groups, isolated)) = self.partition {
-            if (i.0 % groups == isolated) != (j.0 % groups == isolated) {
-                return 0.0;
-            }
+        if self.isolated(i) != self.isolated(j) {
+            return 0.0;
         }
         let base = self.link_col[i.0].min(self.link_col[j.0]);
         if self.link_scale == 1.0 {
@@ -395,6 +393,13 @@ impl World {
     /// Heals any active partition.
     pub fn clear_partition(&mut self) {
         self.partition = None;
+    }
+
+    /// Whether an active [`World::set_partition`] cut puts agent `id` in
+    /// the isolated region. Two agents on the same side of the cut keep
+    /// their links; agents on opposite sides cannot reach each other.
+    pub fn isolated(&self, id: AgentId) -> bool {
+        self.partition.is_some_and(|(groups, isolated)| id.0 % groups == isolated)
     }
 
     /// The neighbours of `i` with a usable (non-zero) link.
