@@ -71,22 +71,47 @@ pub enum PairingOrder {
 ///
 /// # Scaling
 ///
-/// Scheduled-membership checks use O(1) indexed flags, and candidate search
-/// is driven by sorted candidate lists with two exact prunes:
+/// Candidates are searched in ascending `(τ̂ⱼ, id)` with an exact prune: a
+/// candidate whose own task `τ̂ⱼ` already reaches the best estimate so far
+/// can never win (the fast arm of line 18 is bounded below by `τ̂ⱼ`). A
+/// sparse topology scans each agent's neighbours this way.
 ///
-/// * a candidate whose own task `τ̂ⱼ` already exceeds the best estimate so
-///   far can never win (the fast arm of line 18 is bounded below by `τ̂ⱼ`);
-/// * on a full mesh, within a profile class the available candidate with
-///   the smallest `τ̂ⱼ` dominates every other member, so at most one
-///   estimator call per class is needed. A class is keyed by everything
-///   the estimate reads of a helper — CPU, link class and batch size — plus
-///   its side of an active [`World::set_partition`] cut, so every member
-///   of a class is reachable from the same slow agents.
+/// A full mesh prunes by dominance as well. Line 18 reads three things of
+/// a helper `j`: its speed `pⱼ`, its own task `τ̂ⱼ` and the link `cᵢⱼ`, and
+/// the estimate is non-increasing in `pⱼ` and non-decreasing in `τ̂ⱼ`. Both
+/// hold bit for bit, because every operation on the fast arm is monotone
+/// under IEEE rounding and `pⱼ` is the estimator's own
+/// [`TrainingTimeEstimator::batches_per_s`] of the advertised state. So
+/// when helper `j′` is at least as fast as `j` and has the smaller
+/// `(τ̂ⱼ, id)`, `j` cannot win the `(est, τ̂ⱼ, id)` minimum while `j′` is
+/// available. Only the *skyline* of non-dominated helpers needs an
+/// estimate (Börzsönyi, Kossmann and Stocker, "The Skyline Operator",
+/// ICDE 2001).
 ///
-/// Together these take one pairing round from the seed's O(n³)-flavoured
-/// scan to roughly O(n·(C + log n)) for C profile classes — the 10,000-agent
-/// scalability benchmark (`cargo run --release --bin scalability_10k`) runs
-/// entire 100-round simulations on this path.
+/// Helpers are grouped by link class and by side of an active
+/// [`World::set_partition`] cut. All members of a group are reachable from
+/// the same slow agents over the same `cᵢⱼ = min(lᵢ, lⱼ)`, so within a
+/// group dominance is two-dimensional. Each group keeps its helpers sorted
+/// by `pⱼ` in a min tree over `(τ̂ⱼ, id)`. A visit walks each group's
+/// skyline lowest `τ̂ⱼ` first: the first member is the tree's minimum, and
+/// each next one is the minimum among the helpers faster than the last.
+/// The walk stops once `τ̂ⱼ` reaches the best estimate. Visited agents and
+/// full helpers leave their tree; a loaded helper's `τ̂ⱼ` is updated in
+/// place.
+///
+/// A pairing round therefore costs O(n log n) to sort and build, plus
+/// O(G + S log n) per visit for G groups and S skyline members walked.
+/// On the paper's CPU grid S is at most the number of CPU classes. Under a
+/// continuous `cpu_dist` it stays small too: 2,000 lognormal(0, 0.6)
+/// agents take about 2.5 estimates per participant with equal shares and
+/// 8 with skewed ones, against ~590 when every distinct CPU was its own
+/// class. The `pairing.estimates` metrics counter (`comdml_obs`) adds up
+/// the estimates each call asks for.
+///
+/// Continuous *link* distributions are not covered. Each distinct uplink
+/// is its own group, because `cᵢⱼ = min(lᵢ, lⱼ)` would make dominance
+/// three-dimensional, so a lognormal(3.2, 0.8) link world still makes
+/// about 625 estimates per participant at 2,000 agents.
 ///
 /// # Example
 ///
@@ -158,40 +183,139 @@ impl<'w> Broadcast<'w> {
     }
 }
 
-/// Sorted per-class candidate list with a lazily advancing cursor.
-struct ClassList {
-    /// `(solo_time, id)` ascending by solo time, ties by id.
-    members: Vec<(f64, AgentId)>,
-    cursor: usize,
+/// An available helper in a [`Group`] tree: `(τ̂ⱼ bits, id, leaf)`. Solo
+/// times and estimates are never negative or NaN, so the bit patterns
+/// order like the values and the derived tuple order is `(τ̂ⱼ, id)`.
+type Helper = (u64, u32, u32);
+
+/// A removed leaf; sorts after every real helper.
+const GONE: Helper = (u64::MAX, u32::MAX, u32::MAX);
+
+/// One full-mesh candidate group: the available helpers that share a link
+/// class and a partition side, in a min tree over `(τ̂ⱼ, id)` whose leaves
+/// are sorted by helper speed `pⱼ`, fastest first.
+struct Group {
+    /// Bottom-up segment tree: leaves at `[n, 2n)`, node `x` holds the
+    /// minimum of nodes `2x` and `2x + 1`, so node 1 is the group minimum.
+    tree: Vec<Helper>,
+    /// Lowest leaf still present; every leaf left of it is [`GONE`], so a
+    /// walk that reaches it has exhausted the skyline in O(1).
+    first: usize,
 }
 
-impl ClassList {
-    /// First unpaired member other than `skip`, without consuming unpaired
-    /// entries (the cursor only advances past permanently paired agents).
-    fn peek(&mut self, paired: &[bool], skip: AgentId) -> Option<(f64, AgentId)> {
-        while self.cursor < self.members.len() && paired[self.members[self.cursor].1 .0] {
-            self.cursor += 1;
+impl Group {
+    fn new(leaves: &[Helper]) -> Self {
+        let n = leaves.len();
+        let mut tree = vec![GONE; n];
+        tree.extend_from_slice(leaves);
+        for x in (1..n).rev() {
+            tree[x] = tree[2 * x].min(tree[2 * x + 1]);
         }
-        let mut i = self.cursor;
-        while i < self.members.len() {
-            let (solo, id) = self.members[i];
-            if !paired[id.0] && id != skip {
-                return Some((solo, id));
-            }
-            i += 1;
-        }
-        None
+        Self { tree, first: 0 }
     }
 
-    /// Moves unpaired member `id` from `(old, id)` to its `(new, id)`
-    /// position. `new >= old` (a loaded helper only gets busier), so the
-    /// entry moves past the cursor and never behind it.
-    fn requeue(&mut self, id: AgentId, old: f64, new: f64) {
-        let from = self.members.partition_point(|&e| e < (old, id));
-        debug_assert_eq!(self.members[from].1, id, "requeued agent must be a member");
-        self.members.remove(from);
-        let to = self.members.partition_point(|&e| e < (new, id));
-        self.members.insert(to, (new, id));
+    fn leaves(&self) -> usize {
+        self.tree.len() / 2
+    }
+
+    /// The available helper with the smallest `(τ̂ⱼ, id)`: the first
+    /// skyline member.
+    fn min(&self) -> Option<Helper> {
+        Some(self.tree[1]).filter(|&h| h != GONE)
+    }
+
+    /// The smallest `(τ̂ⱼ, id)` among leaves left of `leaf`, i.e. among the
+    /// helpers at least as fast as it: the skyline member after `leaf`'s.
+    fn min_before(&self, leaf: u32) -> Option<Helper> {
+        let n = self.leaves();
+        let (mut lo, mut hi) = (self.first + n, leaf as usize + n);
+        let mut best = GONE;
+        while lo < hi {
+            if lo & 1 == 1 {
+                best = best.min(self.tree[lo]);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                best = best.min(self.tree[hi]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        Some(best).filter(|&h| h != GONE)
+    }
+
+    fn set(&mut self, leaf: u32, helper: Helper) {
+        let mut x = leaf as usize + self.leaves();
+        self.tree[x] = helper;
+        while x > 1 {
+            x /= 2;
+            self.tree[x] = self.tree[2 * x].min(self.tree[2 * x + 1]);
+        }
+    }
+
+    fn remove(&mut self, leaf: u32) {
+        self.set(leaf, GONE);
+        let n = self.leaves();
+        while self.first < n && self.tree[n + self.first] == GONE {
+            self.first += 1;
+        }
+    }
+}
+
+/// The full-mesh candidate index: one [`Group`] per `(link class,
+/// partition side)`, plus where each visit's agent sits in it.
+struct Skyline {
+    groups: Vec<Group>,
+    /// `(group, leaf)` of the agent at each visit index.
+    slot: Vec<(u32, u32)>,
+}
+
+impl Skyline {
+    fn new(
+        bcast: &Broadcast<'_>,
+        order: &[(AgentId, f64)],
+        estimator: &TrainingTimeEstimator<'_>,
+    ) -> Self {
+        assert!(bcast.world.num_agents() <= u32::MAX as usize, "agent ids must fit in u32");
+        let mut index: HashMap<(u64, bool), u32, FnvBuildHasher> = HashMap::default();
+        // `(group, pⱼ, τ̂ⱼ, id, visit index)` of every participant.
+        let mut helpers: Vec<(u32, f64, f64, AgentId, usize)> = Vec::with_capacity(order.len());
+        for (v, &(id, solo)) in order.iter().enumerate() {
+            let agent = bcast.agent(id);
+            let key = (agent.profile.link_mbps.to_bits(), bcast.world.isolated(id));
+            let next = index.len() as u32;
+            let g = *index.entry(key).or_insert(next);
+            helpers.push((g, estimator.batches_per_s(agent), solo, id, v));
+        }
+        // By group, fastest first. Exactness needs only the speed order;
+        // equal speeds by (τ̂ⱼ, id) keep dominated ties off the walk.
+        helpers.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)).then(a.2.total_cmp(&b.2)).then(a.3.cmp(&b.3))
+        });
+        let mut slot = vec![(0, 0); order.len()];
+        let mut groups = Vec::new();
+        for members in helpers.chunk_by(|a, b| a.0 == b.0) {
+            let mut leaves = Vec::with_capacity(members.len());
+            for (leaf, &(g, _, solo, id, v)) in members.iter().enumerate() {
+                slot[v] = (g, leaf as u32);
+                leaves.push((solo.to_bits(), id.0 as u32, leaf as u32));
+            }
+            groups.push(Group::new(&leaves));
+        }
+        Self { groups, slot }
+    }
+
+    /// Removes the agent at visit index `v`, returning whether it was
+    /// still available.
+    fn take(&mut self, v: usize) -> bool {
+        let (g, leaf) = self.slot[v];
+        let group = &mut self.groups[g as usize];
+        let present = group.tree[group.leaves() + leaf as usize] != GONE;
+        if present {
+            group.remove(leaf);
+        }
+        present
     }
 }
 
@@ -239,29 +363,14 @@ impl PairingScheduler {
         let bcast = Broadcast::new(world, self.misreport, participants);
         // Step 1 (line 2): agents broadcast p and τ̂ — compute solo times
         // from the *advertised* states (a liar's τ̂ reflects its lie).
-        // Profiles come from small grids and dataset shares from a handful
-        // of sizes, so the solo times take few distinct values: grouping by
-        // exact value and sorting the distinct keys replaces the
-        // O(n log n) comparison sort with O(n + d log d) for d values.
-        let mut groups: HashMap<u64, Vec<AgentId>, FnvBuildHasher> = HashMap::default();
-        for &id in participants {
-            let solo = memo.solo_time_s(estimator, bcast.agent(id));
-            groups.entry(solo.to_bits()).or_default().push(id);
-        }
-        let mut keys: Vec<u64> = groups.keys().copied().collect();
-        // Descending order of task completion time (list A); solo times are
-        // non-negative, never NaN, and distinct bit patterns are distinct
-        // values, so this reproduces the old comparison sort exactly.
-        keys.sort_unstable_by(|&a, &b| {
-            f64::from_bits(b).partial_cmp(&f64::from_bits(a)).expect("solo times are never NaN")
-        });
-        let mut order: Vec<(AgentId, f64)> = Vec::with_capacity(participants.len());
-        for key in keys {
-            let mut ids = groups.remove(&key).expect("key came from the map");
-            ids.sort_unstable(); // equal solo times tie-break on ascending id
-            let solo = f64::from_bits(key);
-            order.extend(ids.into_iter().map(|id| (id, solo)));
-        }
+        let mut order: Vec<(AgentId, f64)> = participants
+            .iter()
+            .map(|&id| (id, memo.solo_time_s(estimator, bcast.agent(id))))
+            .collect();
+        // Descending order of task completion time (list A), ties by
+        // ascending id. Solo times are never negative or NaN, so
+        // `total_cmp` orders them like `partial_cmp`.
+        order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         self.pair_ordered(&bcast, &order, estimator, &mut memo)
     }
 
@@ -300,85 +409,75 @@ impl PairingScheduler {
         memo: &mut EstimateMemo,
     ) -> Vec<Pairing> {
         let world = bcast.world;
-        let k = world.num_agents();
-        // `paired[x]`: x cannot be a helper — not a participant, already
-        // scheduled as a slow agent, or hosting a full load of guests.
-        let mut paired = vec![true; k];
-        for &(id, _) in order {
-            paired[id.0] = false; // participants start unpaired
+        // The available helpers. A full mesh keeps them in the skyline; the
+        // sparse scan reads, by id, `paired[x]` (x cannot be a helper: not a
+        // participant, already visited, or full) and `solo_of[x]` (x's
+        // current τ̂).
+        let mut skyline =
+            world.adjacency().is_full_mesh().then(|| Skyline::new(bcast, order, estimator));
+        let (mut paired, mut solo_of) = (Vec::new(), Vec::new());
+        if skyline.is_none() {
+            paired = vec![true; world.num_agents()];
+            solo_of = vec![f64::INFINITY; world.num_agents()];
+            for &(id, solo) in order {
+                paired[id.0] = false;
+                solo_of[id.0] = solo;
+            }
         }
         // Guest counts of helpers below capacity. Such a helper is still a
         // candidate but is never visited as a slow agent. Stays empty at
         // capacity 1, where the first guest fills a helper.
         let mut hosting: HashMap<usize, usize, FnvBuildHasher> = HashMap::default();
-        let full_mesh = world.adjacency().is_full_mesh();
-
-        // Full-mesh fast path: group candidates by profile class; within a
-        // class only the smallest-τ̂ⱼ unpaired member can be optimal, so
-        // each class is one peek + at most one estimate. batch_size feeds
-        // batches_per_s, so with CPU and link class it fixes the helper
-        // speed p_j; the partition side fixes which slow agents reach it.
-        let class_key = |id: AgentId| {
-            let agent = bcast.agent(id);
-            let prof = agent.profile;
-            (prof.cpus.to_bits(), prof.link_mbps.to_bits(), agent.batch_size, world.isolated(id))
-        };
-        let mut index: HashMap<(u64, u64, usize, bool), usize> = HashMap::new();
-        let mut classes: Vec<ClassList> = Vec::new();
-        if full_mesh {
-            for &(id, solo) in order {
-                let slot = *index.entry(class_key(id)).or_insert_with(|| {
-                    classes.push(ClassList { members: Vec::new(), cursor: 0 });
-                    classes.len() - 1
-                });
-                classes[slot].members.push((solo, id));
-            }
-            for c in &mut classes {
-                c.members.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-                });
-            }
-        }
-        // Current τ̂ by id: the sparse path's neighbour scans read it, and a
-        // loaded helper's entry tracks its accepted pair's estimate.
-        let mut solo_of: Vec<f64> = vec![f64::INFINITY; k];
-        for &(id, solo) in order {
-            solo_of[id.0] = solo;
-        }
+        let mut estimates = 0u64;
 
         let mut out = Vec::with_capacity(order.len());
-        for &(i, solo_i) in order {
-            if paired[i.0] || hosting.contains_key(&i.0) {
+        for (v, &(i, solo_i)) in order.iter().enumerate() {
+            if hosting.contains_key(&i.0) {
+                continue;
+            }
+            // A visit takes i off the candidates; an agent already
+            // scheduled as a helper is not visited.
+            let available = match &mut skyline {
+                Some(sky) => sky.take(v),
+                None => !std::mem::replace(&mut paired[i.0], true),
+            };
+            if !available {
                 continue;
             }
             let slow_state = bcast.agent(i);
-            let mut best: Option<(AgentId, SplitDecision)> = None;
             let mut best_time = solo_i;
+            // The winner, with its `(group, leaf)` on a full mesh.
+            let mut best: Option<(AgentId, SplitDecision, (u32, u32))> = None;
 
-            if full_mesh {
+            if let Some(sky) = &skyline {
                 // Ties in estimated time are broken by (τ̂ⱼ, id), matching
                 // the ascending-scan order of the sparse path below.
                 let mut best_key = (f64::INFINITY, f64::INFINITY, usize::MAX);
-                for class in &mut classes {
-                    let Some((solo_j, j)) = class.peek(&paired, i) else { continue };
-                    // Exact prune: the fast arm strictly exceeds τ̂ⱼ, so a
-                    // candidate this busy can never beat the current best.
-                    if solo_j >= best_time {
-                        continue;
-                    }
-                    let link = world.link_mbps(i, j);
-                    if link <= 0.0 {
-                        continue;
-                    }
-                    let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
-                    if d.offload == 0 || d.est_time_s >= solo_i {
-                        continue;
-                    }
-                    let key = (d.est_time_s, solo_j, j.0);
-                    if key < best_key {
-                        best_key = key;
-                        best_time = best_time.min(d.est_time_s);
-                        best = Some((j, d));
+                for (g, group) in sky.groups.iter().enumerate() {
+                    let mut link = None;
+                    let mut next = group.min();
+                    while let Some((solo_bits, id, leaf)) = next {
+                        // Exact prune: the fast arm is at least τ̂ⱼ, and the
+                        // rest of the walk is busier still.
+                        let solo_j = f64::from_bits(solo_bits);
+                        if solo_j >= best_time {
+                            break;
+                        }
+                        let j = AgentId(id as usize);
+                        // Every member of a group has the same link to i.
+                        let link = *link.get_or_insert_with(|| world.link_mbps(i, j));
+                        if link <= 0.0 {
+                            break;
+                        }
+                        estimates += 1;
+                        let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
+                        let key = (d.est_time_s, solo_j, j.0);
+                        if d.offload > 0 && d.est_time_s < solo_i && key < best_key {
+                            best_key = key;
+                            best_time = best_time.min(d.est_time_s);
+                            best = Some((j, d, (g as u32, leaf)));
+                        }
+                        next = group.min_before(leaf);
                     }
                 }
             } else {
@@ -402,19 +501,16 @@ impl PairingScheduler {
                     if link <= 0.0 {
                         continue;
                     }
+                    estimates += 1;
                     let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
-                    if d.offload == 0 {
-                        continue;
-                    }
-                    if d.est_time_s < best_time {
+                    if d.offload > 0 && d.est_time_s < best_time {
                         best_time = d.est_time_s;
-                        best = Some((j, d));
+                        best = Some((j, d, (0, 0)));
                     }
                 }
             }
 
-            paired[i.0] = true;
-            let Some((j, d)) = best else {
+            let Some((j, d, (g, leaf))) = best else {
                 out.push(Pairing { slow: i, fast: None, offload: 0, est_time_s: solo_i });
                 continue;
             };
@@ -425,24 +521,24 @@ impl PairingScheduler {
                 offload: d.offload,
                 est_time_s: d.est_time_s,
             });
-            if self.capacity == 1 {
-                paired[j.0] = true;
-                continue;
-            }
-            let guests = hosting.entry(j.0).or_insert(0);
-            *guests += 1;
-            if *guests == self.capacity {
-                paired[j.0] = true;
-                continue;
-            }
+            let full = self.capacity == 1 || {
+                let guests = hosting.entry(j.0).or_insert(0);
+                *guests += 1;
+                *guests == self.capacity
+            };
             // A helper below capacity stays a candidate, busy until its
             // accepted pair's estimated completion.
             let loaded = d.est_time_s;
-            if full_mesh {
-                classes[index[&class_key(j)]].requeue(j, solo_of[j.0], loaded);
+            match (&mut skyline, full) {
+                (Some(sky), true) => sky.groups[g as usize].remove(leaf),
+                (Some(sky), false) => {
+                    sky.groups[g as usize].set(leaf, (loaded.to_bits(), j.0 as u32, leaf))
+                }
+                (None, true) => paired[j.0] = true,
+                (None, false) => solo_of[j.0] = loaded,
             }
-            solo_of[j.0] = loaded;
         }
+        comdml_obs::counter_add("pairing.estimates", estimates);
         out
     }
 }
@@ -578,10 +674,10 @@ mod tests {
 
     #[test]
     fn full_mesh_and_matrix_mesh_agree() {
-        // The class-pruned fast path must pick the same matching as the
-        // generic neighbour scan on an explicit all-ones matrix, also under
-        // a partition cut (a class's best member across the cut must not
-        // hide a reachable member on this side) and with loaded helpers.
+        // The full-mesh skyline must pick the same matching as the generic
+        // neighbour scan on an explicit all-ones matrix, also under a
+        // partition cut (a helper across the cut must not dominate a
+        // reachable one on this side) and with loaded helpers.
         let (spec, profile, cal) = fixtures();
         let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
         for seed in 0..10 {
@@ -609,9 +705,9 @@ mod tests {
 
     #[test]
     fn mixed_batch_sizes_keep_fast_path_exact() {
-        // batches_per_s depends on batch_size, so it is part of the class
-        // identity; agents sharing (CPU, link) but not batch size must not
-        // shadow each other in the full-mesh fast path.
+        // batches_per_s depends on batch_size, so agents sharing (CPU,
+        // link) but not batch size have different helper speeds and must
+        // not shadow each other in the full-mesh skyline.
         let (spec, profile, cal) = fixtures();
         let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
         let mut agents = Vec::new();

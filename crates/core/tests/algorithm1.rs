@@ -1,8 +1,8 @@
 //! Differential test: [`PairingScheduler`] against a literal O(n²)
 //! transcription of the paper's Algorithm 1.
 //!
-//! The oracle has none of the scheduler's machinery — no profile classes,
-//! no candidate prunes, no memo, no sparse/full-mesh split. It visits the
+//! The oracle has none of the scheduler's machinery — no skyline, no
+//! candidate prunes, no memo, no sparse/full-mesh split. It visits the
 //! agents slowest first and scans every participant for each of them, so
 //! any shortcut in the scheduler that changes a decision shows up as a
 //! mismatch here.
@@ -137,7 +137,7 @@ proptest! {
         check(world, rate, None, capacity);
     }
 
-    /// lognormal(0, 0.6) CPUs: nearly every agent is its own profile class.
+    /// lognormal(0, 0.6) CPUs: every helper has its own speed.
     #[test]
     fn lognormal_matches_oracle(
         k in 2usize..41,
@@ -164,8 +164,8 @@ proptest! {
         check(world, rate, None, capacity);
     }
 
-    /// A regional cut on a full mesh or a sparse graph: members of one
-    /// profile class may sit on both sides of it.
+    /// A regional cut on a full mesh or a sparse graph: helpers of one
+    /// speed and link class may sit on both sides of it.
     #[test]
     fn partitioned_matches_oracle(
         k in 2usize..41,
@@ -201,5 +201,34 @@ proptest! {
         }
         let byz = ByzantineConfig { fraction, speed_factor };
         check(config.build(), rate, Some((byz, seed)), capacity);
+    }
+
+    /// Continuous CPUs with skewed shares, so τ̂ no longer falls as the
+    /// helper speed rises and a skyline holds several helpers. Lognormal
+    /// links, a 3-way cut (`cut` 3 = none) and liars are optional.
+    #[test]
+    fn skewed_continuous_matches_oracle(
+        k in 2usize..300,
+        seed in 0u64..u64::MAX,
+        skew in 0.0f64..2.0,
+        links in 0usize..2,
+        cut in 0usize..4,
+        liars in 0usize..2,
+        rate in 0.3f64..1.0,
+        capacity in 1usize..4,
+    ) {
+        let mut config = WorldConfig::heterogeneous(k, seed)
+            .total_samples(500 * k)
+            .sample_skew(skew)
+            .cpu_dist(DistributionConfig::LogNormal { mu: 0.0, sigma: 0.6 });
+        if links == 1 {
+            config = config.link_dist(DistributionConfig::LogNormal { mu: 3.2, sigma: 0.8 });
+        }
+        let mut world = config.build();
+        if cut < 3 {
+            world.set_partition(3, cut);
+        }
+        let byz = ByzantineConfig { fraction: 0.3, speed_factor: 4.0 };
+        check(world, rate, (liars == 1).then_some((byz, seed)), capacity);
     }
 }

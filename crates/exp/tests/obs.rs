@@ -83,6 +83,7 @@ fn instrumentation_never_moves_a_byte() {
     let counter = |k: &str| snap.counters.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
     assert_eq!(counter("sweep.jobs"), Some(8), "2 scenarios x 2 methods x 2 seeds");
     assert!(counter("simnet.events").unwrap_or(0) > 0);
+    assert!(counter("pairing.estimates").unwrap_or(0) > 0, "pairing asked for no estimates");
     let phases = snap.phase_totals();
     for needed in ["job.run", "fleet.pairing", "fleet.round"] {
         assert!(phases.iter().any(|(n, _)| n == needed), "missing phase {needed}: {phases:?}");
