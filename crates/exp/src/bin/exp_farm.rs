@@ -2,8 +2,9 @@
 //! subcommands, all speaking the shared `exp::cli` dialect.
 //!
 //! ```sh
-//! # On the coordinating host:
-//! cargo run --release --bin exp_farm -- coordinator --addr 0.0.0.0:7700
+//! # On the coordinating host (the journal lets a restart resume the sweep):
+//! cargo run --release --bin exp_farm -- coordinator --addr 0.0.0.0:7700 \
+//!     --journal farm.jsonl
 //!
 //! # On every compute host (heterogeneous is fine — that's the point):
 //! cargo run --release --bin exp_farm -- worker --addr coord:7700
@@ -17,7 +18,10 @@
 //! `submit --wait` polls progress and, once the sweep completes, fetches
 //! the report and writes the standard artifacts — byte-identical to a
 //! single-process `exp_sweep` run of the same spec, whatever the worker
-//! fleet did along the way.
+//! fleet did along the way. A coordinator restarted on the same
+//! `--journal` keeps its sweep ids and recomputes only the jobs whose rows
+//! it had not yet journaled, so the artifacts stay byte-identical across a
+//! crash too.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -49,6 +53,12 @@ const MAX_JOBS: FlagSpec = FlagSpec {
     takes_value: true,
     help: "die abruptly after N jobs (fault-injection aid)",
 };
+const JOURNAL: FlagSpec = FlagSpec {
+    name: "journal",
+    aliases: &[],
+    takes_value: true,
+    help: "append-only JSONL journal, replayed on restart (default: none)",
+};
 const WAIT: FlagSpec = FlagSpec {
     name: "wait",
     aliases: &[],
@@ -57,7 +67,7 @@ const WAIT: FlagSpec = FlagSpec {
 };
 
 const USAGE: &str = "coordinator|worker|submit|status|fetch [flags]
-  coordinator [--addr A] [--slice N] [--timeout-s S] [--quiet]
+  coordinator [--addr A] [--slice N] [--timeout-s S] [--journal PATH] [--quiet]
   worker      [--addr A] [--workers N] [--name S] [--max-jobs N]
   submit      <spec.json | @preset> [--addr A] [--seeds N] [--wait] [--out-dir D] [--quiet]
   status      <sweep-id> [--addr A]
@@ -93,7 +103,7 @@ fn run() -> Result<(), String> {
             let args = cli::parse(
                 "exp_farm coordinator",
                 "[flags]",
-                &[cli::ADDR, SLICE, TIMEOUT_S, cli::QUIET],
+                &[cli::ADDR, SLICE, TIMEOUT_S, JOURNAL, cli::QUIET],
                 argv,
             )?;
             // The coordinator's event log is the whole point of running it
@@ -102,7 +112,11 @@ fn run() -> Result<(), String> {
             if !args.has("quiet") && std::env::var("COMDML_LOG").is_err() {
                 comdml_obs::set_log_filter("info");
             }
-            let mut cfg = FarmConfig { quiet: args.has("quiet"), ..FarmConfig::default() };
+            let mut cfg = FarmConfig {
+                quiet: args.has("quiet"),
+                journal: args.value("journal").map(Into::into),
+                ..FarmConfig::default()
+            };
             if let Some(n) = args.parsed::<usize>("slice")? {
                 cfg.slice_size = n.max(1);
             }

@@ -5,7 +5,6 @@
 //! ```sh
 //! cargo run --release --bin exp_sweep -- ci/specs/smoke.json
 //! cargo run --release --bin exp_sweep -- @table3 --seeds 5 --workers 8
-//! cargo run --release --bin exp_sweep -- @table3 --shard 0/4   # one host
 //! ```
 //!
 //! A `@name` argument resolves a built-in preset (`@table2`, `@table3`,
@@ -15,18 +14,13 @@
 //! accuracy trajectories land in the `BENCH_sweep_*.json` artifact, and
 //! jobs stop early once they reach the scenario's target accuracy.
 //!
-//! `--shard i/n` runs only the jobs of shard `i` of `n` and writes a
-//! `BENCH_part_<sweep>_<i>of<n>.json` partial report instead of the full
-//! artifacts; run every shard (anywhere — pure per-job seeding makes them
-//! independent), then fuse them with `sweep_merge` into a report
-//! byte-identical to the single-process run. For heterogeneous hosts,
-//! prefer the work-stealing `exp_farm` — static shards run at the pace of
-//! the slowest host.
+//! To spread one sweep over several processes or hosts, submit it to an
+//! `exp_farm` coordinator instead: its fetched artifacts are
+//! byte-identical to this binary's.
 
 use std::process::ExitCode;
 
 use comdml_exp::cli::{self, FlagSpec};
-use comdml_exp::Shard;
 
 const PRINT_SPEC: FlagSpec = FlagSpec {
     name: "print-spec",
@@ -34,18 +28,12 @@ const PRINT_SPEC: FlagSpec = FlagSpec {
     takes_value: false,
     help: "render the resolved spec and exit",
 };
-const SHARD: FlagSpec = FlagSpec {
-    name: "shard",
-    aliases: &[],
-    takes_value: true,
-    help: "run only shard I/N and write a partial report",
-};
 
 fn run() -> Result<(), String> {
     let args = cli::parse_env(
         "exp_sweep",
         "<spec.json | @preset> [flags]",
-        &[cli::SEEDS, cli::WORKERS, cli::OUT_DIR, cli::QUIET, cli::LIST_PRESETS, PRINT_SPEC, SHARD],
+        &[cli::SEEDS, cli::WORKERS, cli::OUT_DIR, cli::QUIET, cli::LIST_PRESETS, PRINT_SPEC],
     )?;
     if args.has("list-presets") {
         print!("{}", cli::preset_listing());
@@ -58,16 +46,6 @@ fn run() -> Result<(), String> {
     }
 
     let runner = args.runner()?;
-    if let Some(shard) = args.value("shard").map(Shard::parse).transpose()? {
-        // One slice of the matrix: run it, persist the partial report and
-        // stop — `sweep_merge` aggregates once every shard has run.
-        println!("sweep {}: shard {shard} of the {}-job matrix", spec.name, spec.num_jobs());
-        let partial = runner.run_shard(&spec, shard)?;
-        let path = partial.write_to(args.out_dir()).map_err(|e| format!("write partial: {e}"))?;
-        println!("partial report ({} jobs) written to {}", partial.jobs.len(), path.display());
-        return Ok(());
-    }
-
     println!(
         "sweep {}: {} scenarios x {} methods x {} seeds = {} jobs",
         spec.name,

@@ -1,10 +1,10 @@
 //! One argument-parsing surface for every experiment binary.
 //!
-//! `exp_sweep`, `sweep_merge`, `paper_tables` and `exp_farm` all speak the
-//! same flag dialect, defined once here: canonical names with legacy
-//! aliases (`--workers` was born `--threads`, `--out-dir` was `--out`),
-//! `--flag value` and `--flag=value` forms, positional arguments, and a
-//! generated `--help`. The shared sweep-facing conveniences live on
+//! `exp_sweep`, `paper_tables` and `exp_farm` all speak the same flag
+//! dialect, defined once here: canonical names with legacy aliases
+//! (`--workers` was born `--threads`, `--out-dir` was `--out`), `--flag
+//! value` and `--flag=value` forms, positional arguments, and a generated
+//! `--help`. The shared sweep-facing conveniences live on
 //! [`ParsedArgs`] — [`ParsedArgs::runner`] builds the configured
 //! [`SweepRunner`], [`ParsedArgs::out_dir`] resolves the artifact
 //! directory — and [`resolve_spec`] turns a `spec.json` path or `@preset`

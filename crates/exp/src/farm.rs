@@ -1,32 +1,44 @@
 //! The distributed sweep farm: a work-stealing coordinator/worker service
-//! over [`comdml_net`]'s versioned wire protocol.
+//! over [`comdml_net`]'s versioned wire protocol, and the one way to spread
+//! a sweep over several processes or hosts.
 //!
-//! `exp_sweep --shard i/n` partitions the job matrix *statically* — fine
-//! when hosts are identical, wasteful when they are not, because the
-//! slowest shard serializes the sweep. The farm replaces that with the
-//! same pull-based work stealing the in-process [`SweepRunner`] pool uses,
-//! stretched over TCP:
+//! The farm stretches the pull-based work stealing of the in-process
+//! [`SweepRunner`] pool over TCP, so heterogeneous hosts self-balance
+//! instead of waiting on the slowest one:
 //!
 //! * A [`Coordinator`] accepts [`submit`]ted [`SweepSpec`]s, expands each
 //!   into its job matrix, and hands out small **slices** of global job
 //!   indices to whichever worker asks next — workers that finish early
-//!   simply ask again, so heterogeneous hosts self-balance.
+//!   simply ask again.
 //! * [`run_worker`] connects, pulls slices, drains each through
 //!   [`SweepRunner::execute_source`] on the local thread pool, and streams
 //!   every finished row back immediately (one `JobDone` per job), so a
 //!   worker lost mid-slice forfeits only its unfinished jobs.
 //! * The coordinator folds streamed rows into per-job slots keyed by
-//!   **global index** — the same slots a local run fills — and detects
-//!   failures two ways: a dropped connection requeues the worker's
-//!   in-flight slices at once, and a reaper thread requeues slices whose
-//!   worker stopped heartbeating. Folding ignores rows for slots already
-//!   filled, so duplicate execution after a requeue is harmless.
+//!   **global index** — the same slots a local run fills — after checking
+//!   that each row's `(scenario, method, seed)` is the job
+//!   [`SweepSpec::job`] names for that index. It detects failures two
+//!   ways: a dropped connection requeues the worker's in-flight slices at
+//!   once, and a reaper thread requeues slices whose worker stopped
+//!   heartbeating. Folding ignores rows for slots already filled, so
+//!   duplicate execution after a requeue is harmless.
 //! * [`fetch`] reassembles the finished sweep client-side via
-//!   [`JobResult::from_value`] + [`SweepReport::assemble`] — the exact
-//!   reconstruction path the shard merge uses, so the farm's
+//!   [`JobResult::from_value`] + [`SweepReport::assemble`], so the farm's
 //!   `BENCH_sweep_*.json` is **byte-identical** to a single-process run
-//!   whatever the worker count, slice size, or worker deaths along the way
-//!   (proven by the property tests in `tests/farm.rs`).
+//!   whatever the worker count, slice size, worker deaths or coordinator
+//!   restarts along the way (proven by the tests in `tests/farm.rs`).
+//!
+//! # Journal
+//!
+//! With [`FarmConfig::journal`] set, the coordinator appends one compact
+//! JSON line per accepted submit (`{"sweep":id,"spec":{..}}`) and one per
+//! folded row (`{"sweep":id,"index":i,"row":{..}}`), each written before the
+//! submit is acknowledged (and synced to disk) or the fold returns.
+//! [`Coordinator::bind`] replays an existing journal through the same
+//! submit and fold code, so a coordinator restarted after a crash keeps its
+//! sweep ids and queues only the jobs with no journaled row. A line that does not parse or fold — a
+//! torn last line included — is skipped with a warning and its job is
+//! recomputed, which is safe because jobs are pure.
 //!
 //! Jobs are pure functions of `(scenario, method, seed)`; determinism
 //! needs no coordination beyond putting each row in its pre-assigned slot.
@@ -35,7 +47,10 @@
 //! `parse ∘ render` is the identity and the text *is* the value.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -65,6 +80,10 @@ pub struct FarmConfig {
     pub retry_ms: u32,
     /// Suppresses the coordinator's stderr event log.
     pub quiet: bool,
+    /// Append-only JSONL journal of accepted submits and folded rows (see
+    /// the module docs). `None` keeps the coordinator's state in memory
+    /// only.
+    pub journal: Option<PathBuf>,
 }
 
 impl Default for FarmConfig {
@@ -75,6 +94,7 @@ impl Default for FarmConfig {
             reaper_tick: Duration::from_millis(200),
             retry_ms: 200,
             quiet: false,
+            journal: None,
         }
     }
 }
@@ -91,6 +111,8 @@ struct SliceInfo {
 /// Everything the coordinator tracks for one submitted sweep.
 #[derive(Debug)]
 struct SweepState {
+    spec: SweepSpec,
+    /// The canonical text of `spec`, as sent to workers.
     spec_json: String,
     /// One slot per job matrix entry, filled in any order, read in order.
     slots: Vec<Option<JobResult>>,
@@ -174,9 +196,35 @@ struct FarmState {
     /// Unknown-kind frames skipped across every coordinator session
     /// (deltas folded in by the session loops).
     skipped_unknown: u64,
+    /// The open journal; `None` while replaying and when journaling is off.
+    journal: Option<File>,
     next_sweep_id: u64,
     next_slice_id: u64,
     next_worker_id: u64,
+}
+
+/// Cuts `indices` into work slices of `size` jobs (at least 1), in order.
+fn slices(indices: impl Iterator<Item = usize>, size: usize) -> VecDeque<Vec<usize>> {
+    let indices: Vec<usize> = indices.collect();
+    indices.chunks(size.max(1)).map(<[usize]>::to_vec).collect()
+}
+
+/// Checks that `row` is the result of job `i` of `spec`.
+fn check_row(spec: &SweepSpec, i: usize, row: &JobResult) -> Result<(), String> {
+    let job = spec.job(i).ok_or_else(|| format!("no job {i} in the matrix"))?;
+    let scenario = &spec.scenarios[job.scenario].name;
+    if (&row.scenario, row.method, row.seed) == (scenario, job.method, job.seed) {
+        Ok(())
+    } else {
+        Err(format!(
+            "row is ({}, {}, {}) but job {i} is ({scenario}, {}, {})",
+            row.scenario,
+            row.method.token(),
+            row.seed,
+            job.method.token(),
+            job.seed
+        ))
+    }
 }
 
 impl FarmState {
@@ -186,6 +234,7 @@ impl FarmState {
             sweeps: BTreeMap::new(),
             workers: HashMap::new(),
             skipped_unknown: 0,
+            journal: None,
             next_sweep_id: 1,
             next_slice_id: 1,
             next_worker_id: 1,
@@ -198,20 +247,92 @@ impl FarmState {
         }
     }
 
-    /// Validates and enqueues a sweep; returns `(sweep id, total jobs)`.
+    /// Appends the line `line()` builds to the journal, if one is open; with
+    /// `sync`, returns only once the line is on disk.
+    fn record(&mut self, sync: bool, line: impl FnOnce() -> Value) -> std::io::Result<()> {
+        let Some(journal) = &mut self.journal else {
+            return Ok(());
+        };
+        let mut text = line().render_compact();
+        text.push('\n');
+        journal.write_all(text.as_bytes())?;
+        if sync {
+            journal.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Replays the journal at `path` through [`FarmState::submit`] and
+    /// [`FarmState::fold`], requeues every job without a row, then opens
+    /// the file for appending.
+    fn open_journal(&mut self, path: &Path) -> std::io::Result<()> {
+        let bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        for (n, line) in bytes.split(|&b| b == b'\n').enumerate() {
+            if line.is_empty() {
+                continue;
+            }
+            if let Err(e) = self.replay(line) {
+                comdml_obs::warn!(
+                    "comdml_exp::farm",
+                    "journal {} line {}: skipped ({e}); its job will be recomputed",
+                    path.display(),
+                    n + 1
+                );
+            }
+        }
+        let slice = self.cfg.slice_size;
+        for sweep in self.sweeps.values_mut() {
+            sweep.queue = slices((0..sweep.total()).filter(|&i| sweep.slots[i].is_none()), slice);
+        }
+        let mut journal = OpenOptions::new().create(true).append(true).open(path)?;
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            // End a torn last line, so the next record starts a line of its own.
+            journal.write_all(b"\n")?;
+        }
+        self.journal = Some(journal);
+        Ok(())
+    }
+
+    /// Replays one journal line.
+    fn replay(&mut self, line: &[u8]) -> Result<(), String> {
+        let v = Value::parse(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
+        let sweep_id = v.get("sweep").and_then(Value::as_u64).ok_or("missing \"sweep\" id")?;
+        if let Some(spec) = v.get("spec") {
+            if sweep_id < self.next_sweep_id {
+                return Err(format!("sweep {sweep_id} was already submitted"));
+            }
+            self.next_sweep_id = sweep_id;
+            return self.submit(&spec.render()).map(drop);
+        }
+        let index = v.get("index").and_then(Value::as_u64).ok_or("missing \"index\"")?;
+        let row = v.get("row").ok_or("missing \"row\"")?;
+        if self.fold(sweep_id, 0, index, &row.render_compact()) {
+            Ok(())
+        } else {
+            Err(format!("row {index} of sweep {sweep_id} did not fold"))
+        }
+    }
+
+    /// Validates, journals and enqueues a sweep; returns `(sweep id, total
+    /// jobs)`.
     fn submit(&mut self, spec_json: &str) -> Result<(u64, u64), String> {
         let spec = SweepSpec::parse(spec_json)?;
-        spec.validate()?;
-        let total = spec.num_jobs();
-        let slice = self.cfg.slice_size.max(1);
-        let mut queue = VecDeque::with_capacity(total.div_ceil(slice));
-        let mut at = 0usize;
-        while at < total {
-            queue.push_back((at..(at + slice).min(total)).collect());
-            at += slice;
-        }
         let id = self.next_sweep_id;
+        // An acknowledged sweep must survive a host crash; a lost row line
+        // only costs a recomputation, so rows skip the sync.
+        self.record(true, || {
+            Value::Obj(vec![
+                ("sweep".into(), Value::Num(id as f64)),
+                ("spec".into(), spec.to_value()),
+            ])
+        })
+        .map_err(|e| format!("journal write failed: {e}"))?;
         self.next_sweep_id += 1;
+        let total = spec.num_jobs();
+        let queue = slices(0..total, self.cfg.slice_size);
         self.log(format_args!(
             "sweep {id} ({}): {total} jobs queued in {} slices",
             spec.name,
@@ -223,6 +344,7 @@ impl FarmState {
                 // Store the *canonical* text so every worker parses the
                 // same bytes regardless of the submitter's formatting.
                 spec_json: spec.render(),
+                spec,
                 slots: (0..total).map(|_| None).collect(),
                 done: 0,
                 queue,
@@ -301,33 +423,48 @@ impl FarmState {
         None
     }
 
-    /// Folds one streamed row into its global slot. Rows for slots already
-    /// filled (duplicate execution after a requeue) are ignored — folding
-    /// is idempotent, which is what makes at-least-once delivery safe.
-    fn fold(&mut self, sweep_id: u64, slice_id: u64, index: u64, row_json: &str) {
+    /// Folds one streamed row into its global slot and journals it; returns
+    /// whether the row filled the slot. Rows for slots already filled
+    /// (duplicate execution after a requeue) are ignored — folding is
+    /// idempotent, which is what makes at-least-once delivery safe.
+    fn fold(&mut self, sweep_id: u64, slice_id: u64, index: u64, row_json: &str) -> bool {
         let Some(sweep) = self.sweeps.get_mut(&sweep_id) else {
-            return;
+            return false;
         };
         if let Some(slice) = sweep.in_flight.get_mut(&slice_id) {
             slice.last_activity = Instant::now();
         }
         let i = index as usize;
         if i >= sweep.slots.len() || sweep.slots[i].is_some() {
-            return;
+            return false;
         }
-        let row = match Value::parse(row_json).and_then(|v| JobResult::from_value(&v)) {
+        let row = Value::parse(row_json)
+            .and_then(|v| JobResult::from_value(&v))
+            .and_then(|row| check_row(&sweep.spec, i, &row).map(|()| row));
+        let row = match row {
             Ok(row) => row,
             Err(e) => {
                 // Leave the slot empty: the slice-done sweep below (or the
-                // reaper) will requeue it. A malformed row is an anomaly
-                // worth surfacing even on quiet coordinators.
+                // reaper) will requeue it. A malformed or misplaced row is
+                // an anomaly worth surfacing even on quiet coordinators.
                 comdml_obs::warn!(
                     "comdml_exp::farm",
-                    "sweep {sweep_id}: dropping malformed row {index}: {e}"
+                    "sweep {sweep_id}: dropping row {index}: {e}"
                 );
-                return;
+                return false;
             }
         };
+        let journaled = self.record(false, || {
+            Value::Obj(vec![
+                ("sweep".into(), Value::Num(sweep_id as f64)),
+                ("index".into(), Value::Num(i as f64)),
+                ("row".into(), row.to_value()),
+            ])
+        });
+        if let Err(e) = journaled {
+            // The row still counts; only a restart would recompute it.
+            comdml_obs::warn!("comdml_exp::farm", "sweep {sweep_id}: journal write failed: {e}");
+        }
         let sweep = self.sweeps.get_mut(&sweep_id).expect("sweep checked above");
         sweep.slots[i] = Some(row);
         sweep.done += 1;
@@ -340,6 +477,7 @@ impl FarmState {
                 self.sweeps[&sweep_id].total()
             ));
         }
+        true
     }
 
     /// Retires a slice the worker reports fully sent. Any index still
@@ -522,15 +660,19 @@ fn lock(state: &Mutex<FarmState>) -> MutexGuard<'_, FarmState> {
 }
 
 impl Coordinator {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving.
+    /// Replays the configured journal, if any, then binds `addr` (e.g.
+    /// `"127.0.0.1:0"` for an ephemeral port) and starts serving.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates journal I/O and bind failures.
     pub fn bind(addr: &str, cfg: FarmConfig) -> std::io::Result<Self> {
         let reaper_tick = cfg.reaper_tick;
-        let state = Arc::new(Mutex::new(FarmState::new(cfg)));
+        let mut farm = FarmState::new(cfg);
+        if let Some(path) = farm.cfg.journal.clone() {
+            farm.open_journal(&path)?;
+        }
+        let state = Arc::new(Mutex::new(farm));
         let session_state = Arc::clone(&state);
         let handle = serve(addr, move |stream, _peer, stop| {
             session(&session_state, stream, stop);
@@ -818,10 +960,9 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
                         Err(e) => break Err(format!("bad spec for sweep {sweep_id}: {e}")),
                     },
                 };
-                let matrix = SweepRunner::jobs(&spec);
                 let entries: Vec<(usize, JobSpec)> = indices
                     .iter()
-                    .filter_map(|&gi| matrix.get(gi as usize).map(|&job| (gi as usize, job)))
+                    .filter_map(|&gi| spec.job(gi as usize).map(|job| (gi as usize, job)))
                     .collect();
                 let cancel = Arc::new(AtomicBool::new(false));
                 let source = JobSource::new(entries).with_cancel(Arc::clone(&cancel));
@@ -1127,7 +1268,7 @@ mod tests {
         };
         assert_eq!(indices, vec![0, 1, 2, 3]);
         let spec = SweepSpec::parse(&spec_json).unwrap();
-        let job = SweepRunner::jobs(&spec)[0];
+        let job = spec.job(0).unwrap();
         let row = crate::run_job(&spec.scenarios[job.scenario], job.method, job.seed);
         let row_json = row.to_value().render();
         state.fold(id, slice_id, 0, &row_json);
@@ -1139,6 +1280,26 @@ mod tests {
         assert_eq!(sweep.queue.front().unwrap(), &vec![1, 2, 3]);
         assert_eq!(sweep.requeued, 3);
         assert_eq!(sweep.done, 1);
+    }
+
+    #[test]
+    fn fold_drops_rows_for_the_wrong_job() {
+        let mut state =
+            FarmState::new(FarmConfig { slice_size: 4, quiet: true, ..FarmConfig::default() });
+        let spec = tiny_spec();
+        let (id, _) = state.submit(&spec.render()).unwrap();
+        let row = |i: usize| {
+            let job = spec.job(i).unwrap();
+            crate::run_job(&spec.scenarios[job.scenario], job.method, job.seed).to_value().render()
+        };
+        // Job 1's row (another seed) and job 2's (another method) do not
+        // belong in slot 0; the slot stays empty for the requeue.
+        assert!(!state.fold(id, 0, 0, &row(1)));
+        assert!(!state.fold(id, 0, 0, &row(2)));
+        assert_eq!(state.sweeps[&id].done, 0);
+        assert!(state.sweeps[&id].slots[0].is_none());
+        assert!(state.fold(id, 0, 0, &row(0)));
+        assert_eq!(state.sweeps[&id].done, 1);
     }
 
     #[test]

@@ -26,15 +26,15 @@
 //!   on the scenario's shared round grid, emitted as
 //!   `BENCH_curves_*.json` + CSV + a dependency-free SVG panel per
 //!   scenario, so convergence figures come straight out of a sweep.
-//! * [`Shard`] / [`PartialReport`] / [`merge`] ([`shard`] module) — the
-//!   job matrix deterministically partitioned across processes or hosts
-//!   (`exp_sweep --shard i/n`), with partial reports that byte-merge
-//!   (`sweep_merge`) into exactly the single-process report.
+//! * [`farm`] — the job matrix spread over processes or hosts by a
+//!   work-stealing coordinator, whose optional JSONL journal lets a
+//!   restarted coordinator pick up where it stopped; the fetched report is
+//!   byte-identical to the single-process one.
 //!
 //! Three binaries front the engine: `exp_sweep <spec.json>` runs any spec
-//! file (or `@table2`-style preset) — whole or as one shard —
-//! `sweep_merge` fuses partial reports, and `paper_tables` regenerates
-//! the Table II/III grids from one command.
+//! file (or `@table2`-style preset), `exp_farm` runs the coordinator,
+//! workers and client, and `paper_tables` regenerates the Table II/III
+//! grids from one command.
 //!
 //! This crate is the experiment layer of the `comdml-rs` workspace — see
 //! the crate map in the repository README for how the pieces fit.
@@ -60,12 +60,10 @@ pub mod farm;
 pub mod presets;
 mod report;
 mod runner;
-pub mod shard;
 mod spec;
 
 pub use curves::{CurveAggregate, CurvePoint};
 pub use farm::{run_worker, Coordinator, FarmConfig, FarmStatus, WorkerOptions, WorkerSummary};
 pub use report::{SweepCell, SweepReport};
 pub use runner::{run_job, JobResult, JobSource, JobSpec, SweepRunner};
-pub use shard::{merge, PartialReport, Shard};
 pub use spec::{Method, MethodParams, ScenarioSpec, SeedRange, SweepSpec};

@@ -99,8 +99,9 @@ pub struct JobResult {
 
 impl JobResult {
     /// The JSON value of one job row — the exact object embedded in the
-    /// `jobs` array of `BENCH_sweep_*.json` *and* in sharded partial
-    /// reports, so a merged report re-renders the same bytes.
+    /// `jobs` array of `BENCH_sweep_*.json`, streamed by farm workers and
+    /// kept in the coordinator's journal, so a fetched report re-renders
+    /// the same bytes.
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("scenario".into(), Value::Str(self.scenario.clone())),
@@ -128,8 +129,8 @@ impl JobResult {
     /// Rebuilds a job row from its [`JobResult::to_value`] form. Numbers
     /// survive exactly: [`Value`] renders floats in Rust's shortest
     /// round-trip representation, so `from_value ∘ parse ∘ render ∘
-    /// to_value` is the identity — the property the byte-identical shard
-    /// merge rests on.
+    /// to_value` is the identity — the property the farm's byte-identical
+    /// reports and journal replay rest on.
     ///
     /// # Errors
     ///
@@ -392,17 +393,9 @@ impl SweepRunner {
     }
 
     /// Expands the spec's job matrix in report order (scenario-major, then
-    /// method, then seed).
+    /// method, then seed): [`SweepSpec::job`] at every index.
     pub fn jobs(spec: &SweepSpec) -> Vec<JobSpec> {
-        let mut jobs = Vec::with_capacity(spec.num_jobs());
-        for (si, _) in spec.scenarios.iter().enumerate() {
-            for &method in &spec.methods {
-                for seed in spec.seeds.iter() {
-                    jobs.push(JobSpec { scenario: si, method, seed });
-                }
-            }
-        }
-        jobs
+        (0..spec.num_jobs()).map_while(|i| spec.job(i)).collect()
     }
 
     /// Drains a [`JobSource`] on the worker pool, calling `on_done` with
@@ -411,9 +404,9 @@ impl SweepRunner {
     /// here), and returning results in source order. `None` slots mark
     /// entries never claimed because the source was cancelled.
     ///
-    /// This is the one execution path: the local full-run, the sharded
-    /// run and the farm worker all come through here, so they share the
-    /// same work-stealing claim loop and purity contract.
+    /// This is the one execution path: the local full run and the farm
+    /// worker both come through here, so they share the same
+    /// work-stealing claim loop and purity contract.
     pub fn execute_source(
         &self,
         spec: &SweepSpec,
@@ -453,14 +446,17 @@ impl SweepRunner {
         results.into_iter().map(|m| m.into_inner().expect("no poisoned slot")).collect()
     }
 
-    /// Burns through an (arbitrary subset of a) job list on the worker
-    /// pool, returning results in the list's order. Shared by the full-run
-    /// and sharded entry points, so both inherit the same determinism
-    /// contract: results land in pre-assigned slots keyed by list position,
-    /// independent of completion order.
-    pub(crate) fn execute(&self, spec: &SweepSpec, jobs: &[JobSpec]) -> Vec<JobResult> {
-        let total = jobs.len();
-        let source = JobSource::new(jobs.iter().copied().enumerate().collect());
+    /// Runs the whole sweep and aggregates the report. Results land in
+    /// pre-assigned slots keyed by job index, independent of completion
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the spec's validation error, if any.
+    pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport, String> {
+        spec.validate()?;
+        let source = JobSource::new(Self::jobs(spec).into_iter().enumerate().collect());
+        let total = source.len();
         let done = AtomicUsize::new(0);
         let results = self.execute_source(spec, &source, &|_, _| {
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -471,17 +467,8 @@ impl SweepRunner {
                 }
             }
         });
-        results.into_iter().map(|r| r.expect("uncancelled source runs every job")).collect()
-    }
-
-    /// Runs the whole sweep and aggregates the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the spec's validation error, if any.
-    pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport, String> {
-        spec.validate()?;
-        let results = self.execute(spec, &Self::jobs(spec));
+        let results =
+            results.into_iter().map(|r| r.expect("uncancelled source runs every job")).collect();
         Ok(SweepReport::assemble(spec, results))
     }
 }

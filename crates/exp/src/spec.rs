@@ -55,6 +55,8 @@ use comdml_simnet::{
     PartitionSchedule, SessionLifetime, Topology,
 };
 
+use crate::JobSpec;
+
 /// The methods a sweep can run, by their paper-table identities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
@@ -144,13 +146,6 @@ pub struct SeedRange {
     pub base: u64,
     /// Number of consecutive seeds.
     pub count: usize,
-}
-
-impl SeedRange {
-    /// The seeds in order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.count as u64).map(move |i| self.base + i)
-    }
 }
 
 /// Per-method parameter overrides a scenario can carry instead of the
@@ -637,9 +632,32 @@ impl SweepSpec {
         self
     }
 
-    /// Total jobs the sweep expands to.
+    /// Most jobs one sweep may expand to. [`SweepSpec::validate`] rejects
+    /// larger matrices, so nothing sized by a job count can be asked for an
+    /// absurd allocation.
+    pub const MAX_JOBS: usize = 1 << 20;
+
+    /// Total jobs the sweep expands to, saturating at `usize::MAX`.
     pub fn num_jobs(&self) -> usize {
-        self.scenarios.len() * self.methods.len() * self.seeds.count
+        self.scenarios.len().saturating_mul(self.methods.len()).saturating_mul(self.seeds.count)
+    }
+
+    /// The job at global index `i` of the matrix in report order
+    /// (scenario-major, then method, then seed); `None` past the end. The
+    /// one index→job mapping: the local runner, farm workers and the
+    /// coordinator's row check all read it.
+    pub fn job(&self, i: usize) -> Option<JobSpec> {
+        let (seeds, methods) = (self.seeds.count, self.methods.len());
+        if seeds == 0 || methods == 0 {
+            return None;
+        }
+        let cell = i / seeds;
+        let scenario = cell / methods;
+        (scenario < self.scenarios.len()).then(|| JobSpec {
+            scenario,
+            method: self.methods[cell % methods],
+            seed: self.seeds.base + (i % seeds) as u64,
+        })
     }
 
     /// Validates the sweep and every scenario.
@@ -653,6 +671,9 @@ impl SweepSpec {
         }
         if self.seeds.count == 0 {
             return Err("seed count must be positive".into());
+        }
+        if self.seeds.base.checked_add(self.seeds.count as u64).is_none() {
+            return Err("seed range overflows u64".into());
         }
         if self.methods.is_empty() {
             return Err("at least one method is required".into());
@@ -669,6 +690,15 @@ impl SweepSpec {
         methods.sort_unstable_by_key(Method::token);
         if methods.windows(2).any(|w| w[0] == w[1]) {
             return Err("methods must be unique".into());
+        }
+        if self.num_jobs() > Self::MAX_JOBS {
+            return Err(format!(
+                "{} scenarios x {} methods x {} seeds exceeds the {}-job cap",
+                self.scenarios.len(),
+                self.methods.len(),
+                self.seeds.count,
+                Self::MAX_JOBS
+            ));
         }
         for s in &self.scenarios {
             s.validate()?;
@@ -1192,6 +1222,43 @@ fn scenario_to_value(s: &ScenarioSpec) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_indices_run_scenario_major_then_method_then_seed() {
+        let spec = SweepSpec::new("order")
+            .seeds(7, 2)
+            .method(Method::ComDml)
+            .method(Method::FedAvg)
+            .scenario(ScenarioSpec::new("a"))
+            .scenario(ScenarioSpec::new("b"));
+        let jobs: Vec<(usize, Method, u64)> = (0..spec.num_jobs())
+            .map(|i| spec.job(i).map(|j| (j.scenario, j.method, j.seed)).unwrap())
+            .collect();
+        let mut expected = Vec::new();
+        for scenario in 0..2 {
+            for method in [Method::ComDml, Method::FedAvg] {
+                expected.extend([(scenario, method, 7), (scenario, method, 8)]);
+            }
+        }
+        assert_eq!(jobs, expected);
+        assert_eq!(spec.job(spec.num_jobs()), None);
+    }
+
+    #[test]
+    fn validate_caps_the_job_matrix_and_the_seed_range() {
+        let spec = |base: u64, count: usize| {
+            SweepSpec::new("cap")
+                .seeds(base, count)
+                .method(Method::ComDml)
+                .scenario(ScenarioSpec::new("a"))
+        };
+        assert!(spec(1, SweepSpec::MAX_JOBS).validate().is_ok());
+        assert!(spec(1, SweepSpec::MAX_JOBS + 1).validate().unwrap_err().contains("cap"));
+        assert!(spec(0, usize::MAX).validate().unwrap_err().contains("cap"));
+        assert_eq!(spec(1, usize::MAX).method(Method::FedAvg).num_jobs(), usize::MAX);
+        assert!(spec(u64::MAX - 2, 2).validate().is_ok());
+        assert!(spec(u64::MAX - 2, 3).validate().unwrap_err().contains("overflows"));
+    }
 
     fn full_spec() -> SweepSpec {
         SweepSpec::new("demo")

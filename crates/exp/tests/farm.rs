@@ -8,9 +8,12 @@
 //!   worker finishes them, and the bytes still match;
 //! * a worker that goes silent holding a slice (no rows, no heartbeats)
 //!   trips the reaper's timeout path, with the same outcome;
-//! * client-facing errors (unknown sweeps, malformed specs) come back
-//!   described, not as hangs or disconnects.
+//! * client-facing errors (unknown sweeps, malformed or oversized specs)
+//!   come back described, not as hangs, disconnects or aborts;
+//! * a coordinator restarted on its journal keeps the rows it had folded,
+//!   skips garbage and torn lines, and still fetches the same bytes.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -36,6 +39,7 @@ fn test_config(slice_size: usize) -> FarmConfig {
         reaper_tick: Duration::from_millis(50),
         retry_ms: 20,
         quiet: true,
+        journal: None,
     }
 }
 
@@ -226,4 +230,97 @@ fn wire_errors_come_back_described() {
     };
     assert!(!detail.is_empty());
     coordinator.shutdown();
+}
+
+/// A submit whose job matrix is absurdly large, or whose seed range
+/// overflows `u64`, is refused with a description — it must not abort the
+/// coordinator — and a normal sweep submitted next still completes.
+#[test]
+fn oversized_submits_are_refused_and_the_coordinator_lives() {
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", test_config(4)).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let huge = farm_spec("farm_huge", 1_000_000_000_000_000_000);
+    assert!(farm::submit(&addr, &huge).unwrap_err().contains("cap"));
+    let over_cap = farm_spec("farm_over_cap", SweepSpec::MAX_JOBS / 6 + 1);
+    assert!(farm::submit(&addr, &over_cap).unwrap_err().contains("cap"));
+    let wrapping = farm_spec("farm_wrap", 2).seeds(u64::MAX - 1, 2);
+    assert!(farm::submit(&addr, &wrapping).unwrap_err().contains("overflows"));
+
+    let spec = farm_spec("farm_after_huge", 1);
+    let (sweep_id, total) = farm::submit(&addr, &spec).unwrap();
+    assert_eq!(total as usize, spec.num_jobs());
+    let worker = {
+        let addr = addr.clone();
+        std::thread::spawn(move || farm::run_worker(&addr, &worker_opts("after")))
+    };
+    let report = farm::wait_and_fetch(&addr, sweep_id, Duration::from_millis(20), false).unwrap();
+    assert_eq!(report.to_value().render(), local_bytes(&spec));
+    coordinator.stop();
+    assert!(worker.join().unwrap().unwrap().clean_shutdown);
+}
+
+/// Kill the coordinator mid-sweep and restart it on its journal: a worker
+/// dies after `k` rows, the coordinator goes away, the journal gains a
+/// garbage line and a torn half-line, and a new coordinator binds on it.
+/// The replay must keep exactly the `k` folded rows under the same sweep
+/// id, a fresh worker must run only the missing jobs, and the fetched
+/// report must match the local run byte for byte — again after a second
+/// restart with no workers at all.
+#[test]
+fn restarted_coordinator_resumes_from_its_journal() {
+    let spec = farm_spec("farm_restart", 2); // 12 jobs
+    let total = spec.num_jobs();
+    let k = 5;
+    let local = local_bytes(&spec);
+    let dir = std::env::temp_dir().join(format!("comdml_farm_journal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("farm.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let cfg = FarmConfig { journal: Some(journal.clone()), ..test_config(3) };
+
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    assert_eq!(farm::submit(&addr, &spec).unwrap(), (1, total as u64));
+    let opts = WorkerOptions { threads: 1, max_jobs: Some(k), ..worker_opts("doomed") };
+    let summary = farm::run_worker(&addr, &opts).unwrap();
+    assert_eq!((summary.jobs_run, summary.clean_shutdown), (k, false));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while farm::status(&addr, 1).unwrap().done < k as u64 {
+        assert!(Instant::now() < deadline, "the doomed worker's rows never folded");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(coordinator);
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(text.lines().count(), 1 + k, "one submit line and one line per row");
+    let last = text.lines().last().unwrap();
+    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+    writeln!(file, "{{\"sweep\":1,\"index\":\"garbage").unwrap();
+    file.write_all(&last.as_bytes()[..last.len() / 2]).unwrap();
+    drop(file);
+
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let s = farm::status(&addr, 1).unwrap();
+    assert_eq!((s.done, s.queued, s.total), (k as u64, (total - k) as u64, total as u64));
+    let rescuer = {
+        let addr = addr.clone();
+        std::thread::spawn(move || farm::run_worker(&addr, &worker_opts("rescuer")))
+    };
+    let report = farm::wait_and_fetch(&addr, 1, Duration::from_millis(20), false).unwrap();
+    assert_eq!(report.to_value().render(), local, "post-restart report diverged");
+    coordinator.stop();
+    let summary = rescuer.join().unwrap().unwrap();
+    assert!(summary.clean_shutdown);
+    assert_eq!(summary.jobs_run, total - k, "only the missing jobs are recomputed");
+    drop(coordinator);
+
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let report = farm::fetch(&addr, 1).unwrap().expect("every row was journaled");
+    assert_eq!(report.to_value().render(), local, "second replay diverged");
+    // Sweep ids continue after the journaled ones.
+    assert_eq!(farm::submit(&addr, &farm_spec("farm_next", 1)).unwrap().0, 2);
+    coordinator.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,10 +5,15 @@
 //! * spec files round-trip `parse` ∘ `render` exactly, for arbitrary
 //!   scenario knobs;
 //! * job results are pure functions of their coordinates (re-running any
-//!   job reproduces its row).
+//!   job reproduces its row);
+//! * job rows survive their JSON round trip exactly, the form in which
+//!   farm workers stream them and the coordinator journals them.
 
+use comdml_bench::Value;
 use comdml_core::{AggregationMode, ChurnPolicy, LearningCurve};
-use comdml_exp::{presets, run_job, Method, MethodParams, ScenarioSpec, SweepRunner, SweepSpec};
+use comdml_exp::{
+    presets, run_job, JobResult, Method, MethodParams, ScenarioSpec, SweepRunner, SweepSpec,
+};
 use comdml_simnet::{
     ArrivalProcess, ByzantineConfig, DistributionConfig, DiurnalCycle, PartitionSchedule,
     SessionLifetime, Topology,
@@ -166,6 +171,31 @@ proptest! {
         let back = SweepSpec::parse(&text).expect("rendered specs parse");
         prop_assert_eq!(&back, &spec);
         prop_assert_eq!(back.render(), text, "second render identical");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // `from_value ∘ parse ∘ render ∘ to_value` is the identity on job rows,
+    // in both the pretty and the compact (wire and journal) renderings:
+    // floats render in shortest round-trip form.
+    #[test]
+    fn job_rows_round_trip_through_json(
+        agents in 4usize..8,
+        rounds in 2usize..4,
+        knobs in (0u8..3, 0u8..3, 0u8..2, 0u8..3, 0u8..5, 0u8..6),
+        method in 0usize..Method::ALL.len(),
+        seed in 1u64..500,
+    ) {
+        let row = run_job(&scenario_from("rt", agents, rounds, knobs), Method::ALL[method], seed);
+        let pretty = row.to_value().render();
+        for text in [pretty.clone(), row.to_value().render_compact()] {
+            let back = JobResult::from_value(&Value::parse(&text).expect("rows parse"))
+                .expect("rows rebuild");
+            prop_assert_eq!(&back, &row);
+            prop_assert_eq!(back.to_value().render(), pretty.clone(), "second render identical");
+        }
     }
 }
 

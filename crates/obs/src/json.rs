@@ -2,11 +2,11 @@
 //!
 //! A recursive-descent parser and deterministic writer for full JSON
 //! documents (objects keep insertion order), used by the `comdml-exp`
-//! scenario-spec files, sweep reports, sharded *partial* reports, the
-//! `BENCH_*.json` records, and this crate's own JSONL trace sink. Numbers
-//! render in Rust's shortest round-trip representation, so
+//! scenario-spec files, sweep reports, the sweep farm's wire rows and
+//! journal, the `BENCH_*.json` records, and this crate's own JSONL trace
+//! sink. Numbers render in Rust's shortest round-trip representation, so
 //! `parse ∘ render` preserves every `f64` bit-exactly — the property that
-//! lets `sweep_merge` reassemble partial reports into a document
+//! lets the farm reassemble streamed or journaled rows into a report
 //! byte-identical to a single-process run.
 //!
 //! This model lives in `comdml-obs` (the bottom of the dependency graph)
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn value_float_round_trip_is_bit_exact() {
-        // The shard-merge byte-identity contract: any finite f64 that a
+        // The farm's byte-identity contract: any finite f64 that a
         // report can carry must survive render ∘ parse with the same bits.
         // Shortest round-trip float printing guarantees it; pin a spread
         // of awkward values (non-terminating binary fractions, extremes of
