@@ -20,6 +20,17 @@
 //! batches inline (threads = 1) and on 8 threads — and fails (exit code 1)
 //! unless the two report digests match bit for bit: the parallel path must
 //! be indistinguishable from the sequential one.
+//!
+//! `--smoke` then runs the cohort-scaling leg: a 1M-agent world at 1%
+//! sampling and a 10M-agent world at 0.1% sampling — the same ~10k cohort,
+//! and the same absolute churn (100 arrivals/s against sessions sized to
+//! hold each world in equilibrium), so only the world size differs. After
+//! one untimed opening round (it scans every agent's solo time for the
+//! planning horizon), each world steps [`SCALING_ROUNDS`] rounds, and the
+//! leg fails unless the 10M median per-round wall outside `fleet.sample`
+//! (the participation sampler, which must shuffle the whole active list to
+//! keep its pinned output) is within [`SCALING_BOUND`]× of the 1M one: a
+//! round must cost O(cohort + membership events), not O(world).
 
 use std::time::Instant;
 
@@ -34,6 +45,12 @@ const SEED: u64 = 42;
 const SAMPLING_RATE: f64 = 0.05;
 /// Wall-clock budget for the full run (the tentpole target).
 const TARGET_WALL_S: f64 = 60.0;
+/// Timed rounds per world of the cohort-scaling leg.
+const SCALING_ROUNDS: usize = 5;
+/// Largest allowed 10M / 1M ratio of per-round wall outside sampling.
+const SCALING_BOUND: f64 = 2.0;
+/// Absolute arrival rate of both cohort-scaling worlds, agents per second.
+const SCALING_ARRIVALS_PER_S: f64 = 100.0;
 
 /// Same birth-death equilibrium as `fleet_churn`, scaled to the fleet:
 /// ~1 arrival/s per 10,000 agents against 10,000 s mean sessions.
@@ -111,6 +128,39 @@ fn run(name: &str, agents: usize, rounds: usize, threads: usize) -> RunStats {
     }
 }
 
+/// Median per-round wall, in ms, outside `fleet.sample` for a world of
+/// `agents` sampled at `rate`, with churn fixed at
+/// [`SCALING_ARRIVALS_PER_S`] both ways.
+fn cohort_round_ms(agents: usize, rate: f64) -> f64 {
+    let fleet = FleetConfig::new(agents, SEED)
+        .arrivals(ArrivalProcess::Poisson { rate_per_s: SCALING_ARRIVALS_PER_S })
+        .lifetime(SessionLifetime::Exponential { mean_s: agents as f64 / SCALING_ARRIVALS_PER_S })
+        .samples_per_agent(500)
+        .batch_size(100)
+        .max_agents(2 * agents)
+        .recycle_slots(true);
+    let mut sim = FleetSim::new(fleet, ComDmlConfig { sampling_rate: rate, ..config(1) });
+    sim.step();
+    let sample_ms = || comdml_obs::metrics().histogram("phase.fleet.sample").map_or(0.0, |h| h.sum);
+    let mut per_round: Vec<f64> = (0..SCALING_ROUNDS)
+        .map(|_| {
+            let before = sample_ms();
+            let start = Instant::now();
+            let s = sim.step();
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let outside = wall_ms - (sample_ms() - before);
+            println!(
+                "  {agents:>9} agents: {:>5} sampled, wall {wall_ms:>7.1} ms, outside sampling \
+                 {outside:>7.1} ms",
+                s.sampled
+            );
+            outside
+        })
+        .collect();
+    per_round.sort_by(f64::total_cmp);
+    per_round[per_round.len() / 2]
+}
+
 fn main() -> std::process::ExitCode {
     comdml_obs::set_metrics_enabled(true);
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -131,6 +181,24 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
         println!("\nsmoke: ok (digest {:016x}, threads 1 == threads 8)", sequential.digest);
+
+        println!("\ncohort scaling: ~10k cohorts of 1M and 10M worlds\n");
+        let small = cohort_round_ms(1_000_000, 0.01);
+        let large = cohort_round_ms(10_000_000, 0.001);
+        let ratio = large / small;
+        println!(
+            "\nper-round wall outside sampling (median of {SCALING_ROUNDS}): 1M {small:.1} ms, \
+             10M {large:.1} ms, ratio {ratio:.2} (bound {SCALING_BOUND})"
+        );
+        if ratio > SCALING_BOUND {
+            comdml_obs::error!(
+                "scalability_1m",
+                "10M world's round costs {ratio:.2}x the 1M world's outside sampling \
+                 (bound {SCALING_BOUND}x): a round is paying for the world, not the cohort"
+            );
+            return std::process::ExitCode::FAILURE;
+        }
+        println!("cohort scaling: ok");
         return std::process::ExitCode::SUCCESS;
     }
 

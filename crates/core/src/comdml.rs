@@ -1,8 +1,6 @@
-use std::collections::HashMap;
-
 use comdml_collective::AllReduceAlgorithm;
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml_simnet::{AgentId, ByzantineConfig, DiurnalCycle, PartitionSchedule, World};
+use comdml_simnet::{AgentId, AgentMap, ByzantineConfig, DiurnalCycle, PartitionSchedule, World};
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -114,7 +112,7 @@ pub struct RoundInput<'a> {
     pub changes: Vec<Disruption>,
     /// Per-participant head starts: seconds of earlier work still running
     /// when this round starts (semi-sync/async spill).
-    pub carry: HashMap<AgentId, f64>,
+    pub carry: AgentMap<f64>,
 }
 
 impl<'a> RoundInput<'a> {
@@ -236,8 +234,7 @@ impl RoundEngine for ComDml {
     /// round with the staleness of the aggregation cohort.
     fn round(&mut self, world: &World, input: RoundInput<'_>) -> RoundProgress {
         // Free the previous outcome before this round allocates: held across
-        // the round, it pins heap under the round's world-length buffers
-        // (about 4 MiB more peak RSS on a 1M-agent fleet).
+        // the round, it would pin heap under the round's buffers.
         self.last_outcome = None;
         let estimator =
             TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);

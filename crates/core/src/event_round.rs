@@ -20,6 +20,11 @@
 //!   zero — `ready_at` offsets let semi-sync/async schedules pipeline one
 //!   round into the next.
 //!
+//! Per-agent round state (timelines, pair membership, departures) is
+//! indexed by a dense slot over the agents the pairings and disruptions
+//! name, so a round costs O(participants + events) however large the world
+//! it samples from.
+//!
 //! The synchronous wrapper [`crate::simulate_round`] now runs on this
 //! engine and reproduces the legacy closed-form timings to within 1e-9
 //! (covered by `tests/event_engine.rs`).
@@ -51,11 +56,9 @@
 //! assert!(async_run.spill_s.iter().any(|&s| s > 0.0), "someone finishes after the mean");
 //! ```
 
-use std::collections::HashMap;
-
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml_cost::CostCalibration;
-use comdml_simnet::{AgentId, SimDriver, SimEvent, World};
+use comdml_simnet::{AgentId, AgentMap, SimDriver, SimEvent, World};
 
 use crate::{
     AgentRoundStats, PairRoundSim, Pairing, RoundOutcome, RoundProgress, TrainingTimeEstimator,
@@ -143,8 +146,9 @@ pub struct EventRoundReport {
     pub outcome: RoundOutcome,
     /// Agents included in this round's aggregation, sorted.
     pub cohort: Vec<AgentId>,
-    /// Per-agent carry-over into the next round, indexed by agent id:
-    /// seconds of work still running when the round ended.
+    /// Per-agent carry-over into the next round, aligned with
+    /// `outcome.agent_stats`: seconds of work still running when the round
+    /// ended.
     pub spill_s: Vec<f64>,
     /// Number of successful helper re-pairings after failures/leaves.
     pub repairs: usize,
@@ -153,9 +157,9 @@ pub struct EventRoundReport {
     pub local_fallbacks: usize,
     /// When the round ended (aggregation done), simulated seconds.
     pub round_end_s: f64,
-    /// Whether each agent (indexed by id) was a participant that finished
-    /// its task this round; false for agents that failed, left mid-task, or
-    /// never participated.
+    /// Whether each reported agent (aligned with `outcome.agent_stats`)
+    /// finished its task this round; false for agents that failed or left
+    /// mid-task.
     pub finished: Vec<bool>,
     /// Events the driver executed for this round — the cost metric the
     /// coarse granularity shrinks and the benchmark JSON reports.
@@ -181,18 +185,18 @@ impl EventRoundReport {
             return 0.0;
         }
         let dur = self.round_end_s.max(1e-12);
-        let sum: f64 = self
-            .outcome
-            .agent_stats
-            .iter()
-            .map(|s| {
-                if !self.finished.get(s.id.0).copied().unwrap_or(false) {
-                    return 0.0;
-                }
-                let spill = self.spill_s.get(s.id.0).copied().unwrap_or(0.0);
-                crate::staleness_weight(spill / dur, staleness_decay)
-            })
-            .sum();
+        let sum: f64 =
+            self.finished
+                .iter()
+                .zip(&self.spill_s)
+                .map(|(&finished, &spill)| {
+                    if finished {
+                        crate::staleness_weight(spill / dur, staleness_decay)
+                    } else {
+                        0.0
+                    }
+                })
+                .sum();
         sum / n as f64
     }
 
@@ -200,8 +204,18 @@ impl EventRoundReport {
     /// realized duration, staleness-weighted efficiency, participant and
     /// cohort counts, the number of departures that actually disrupted
     /// training (orphaned pairs, whether re-paired or fallen back to local
-    /// training), and the spill as a sparse `(agent, seconds)` list.
+    /// training), and the spill as a sparse `(agent, seconds)` list sorted
+    /// by agent.
     pub fn progress(&self, staleness_decay: f64) -> RoundProgress {
+        let mut spill: Vec<(AgentId, f64)> = self
+            .outcome
+            .agent_stats
+            .iter()
+            .zip(&self.spill_s)
+            .filter(|&(_, &s)| s > 0.0)
+            .map(|(a, &s)| (a.id, s))
+            .collect();
+        spill.sort_unstable_by_key(|&(id, _)| id);
         RoundProgress {
             round_s: self.round_end_s.max(0.0),
             efficiency: self.efficiency(staleness_decay),
@@ -210,13 +224,7 @@ impl EventRoundReport {
             disruptions: self.repairs + self.local_fallbacks,
             events_processed: self.events_processed,
             repairs: self.repairs,
-            spill: self
-                .spill_s
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s > 0.0)
-                .map(|(i, &s)| (AgentId(i), s))
-                .collect(),
+            spill,
         }
     }
 }
@@ -229,22 +237,18 @@ impl EventRoundReport {
 ///
 /// Every baseline `RoundEngine` (FedAvg, AllReduce-DML, BrainTorrent, …)
 /// routes its synchronized phases through here, so ComDML and the baselines
-/// share one simulation substrate.
+/// share one simulation substrate. Each entry of `times` is its own driver
+/// slot, so the cost is O(participants) however large the ids are.
 pub fn barrier_round_s(times: &[(AgentId, f64)], aggregation_s: f64) -> f64 {
     if times.is_empty() {
         return 0.0;
     }
-    let k = times.iter().map(|&(id, _)| id.0).max().expect("non-empty") + 1;
-    let mut driver = SimDriver::new(k);
-    for &(id, t) in times {
-        driver.record_busy(id, t);
-        driver.schedule_at(t, SimEvent::AgentDone { agent: id });
-    }
+    let mut driver = slot_driver(times);
     let mut remaining = times.len();
     while let Some((now, event)) = driver.next() {
         match event {
-            SimEvent::AgentDone { agent } => {
-                driver.mark_done(agent, now);
+            SimEvent::AgentDone { slot } => {
+                driver.mark_done(slot, now);
                 remaining -= 1;
                 if remaining == 0 {
                     driver.schedule_at(now, SimEvent::AggregateStart);
@@ -261,35 +265,131 @@ pub fn barrier_round_s(times: &[(AgentId, f64)], aggregation_s: f64) -> f64 {
 
 /// Executes a barrier-free round on the event clock and returns the mean
 /// completion time — the round cost of gossip-style engines where every
-/// agent proceeds at its own pace.
+/// agent proceeds at its own pace. Slot-indexed like [`barrier_round_s`].
 pub fn mean_round_s(times: &[(AgentId, f64)]) -> f64 {
     if times.is_empty() {
         return 0.0;
     }
-    let k = times.iter().map(|&(id, _)| id.0).max().expect("non-empty") + 1;
-    let mut driver = SimDriver::new(k);
-    for &(id, t) in times {
-        driver.record_busy(id, t);
-        driver.schedule_at(t, SimEvent::AgentDone { agent: id });
-    }
+    let mut driver = slot_driver(times);
     let mut total = 0.0;
     while let Some((now, event)) = driver.next() {
-        if let SimEvent::AgentDone { agent } = event {
-            driver.mark_done(agent, now);
+        if let SimEvent::AgentDone { slot } = event {
+            driver.mark_done(slot, now);
             total += now;
         }
     }
     total / times.len() as f64
 }
 
+/// A driver with one slot per entry of `times`, each busy for its task time
+/// and scheduled to finish at it (in entry order, so ties keep it).
+fn slot_driver(times: &[(AgentId, f64)]) -> SimDriver {
+    let mut driver = SimDriver::new(times.len());
+    for (slot, &(_, t)) in times.iter().enumerate() {
+        driver.record_busy(slot, t);
+        driver.schedule_at(t, SimEvent::AgentDone { slot });
+    }
+    driver
+}
+
+impl Disruption {
+    /// The agent the disruption names.
+    fn agent(&self) -> AgentId {
+        match *self {
+            Disruption::Fail { agent, .. }
+            | Disruption::Leave { agent, .. }
+            | Disruption::Join { agent, .. } => agent,
+        }
+    }
+}
+
 /// Sentinel for "agent belongs to no pairing" in the dense pair index.
 const NO_PAIR: usize = usize::MAX;
 
-/// Per-pair runtime state of the event pipeline.
+/// The round's dense agent slots. Every agent a round can touch is named
+/// by a pairing or a disruption (replacement helpers come from finished
+/// participants and joiners), so per-agent round state is indexed by slot
+/// and sized by the cohort, never by the world. Slots ascend with agent
+/// id, so a slot sweep visits agents in id order.
+#[derive(Debug)]
+struct RoundSlots {
+    /// The agent in each slot, ascending.
+    ids: Vec<AgentId>,
+    /// Slots of each pairing's slow side and helper.
+    pairs: Vec<(usize, Option<usize>)>,
+    /// Slot of each disruption's agent.
+    disruptions: Vec<usize>,
+}
+
+impl RoundSlots {
+    fn assign(pairings: &[Pairing], disruptions: &[Disruption]) -> Self {
+        // Tag every mention with where it came from (slow side i -> i,
+        // helper i -> P + i, disruption j -> 2P + j), sort the mentions by
+        // agent, and hand out slots in one pass.
+        let helpers = pairings.len();
+        let origins = 2 * helpers + disruptions.len();
+        let mut mentions: Vec<(AgentId, u32)> = Vec::with_capacity(origins);
+        for (i, p) in pairings.iter().enumerate() {
+            mentions.push((p.slow, i as u32));
+            if let Some(f) = p.fast {
+                mentions.push((f, (helpers + i) as u32));
+            }
+        }
+        for (j, d) in disruptions.iter().enumerate() {
+            mentions.push((d.agent(), (2 * helpers + j) as u32));
+        }
+        radix_sort_by_agent(&mut mentions);
+        let mut slot_of = vec![0usize; origins];
+        let mut ids: Vec<AgentId> = Vec::with_capacity(mentions.len());
+        for (id, origin) in mentions {
+            if ids.last() != Some(&id) {
+                ids.push(id);
+            }
+            slot_of[origin as usize] = ids.len() - 1;
+        }
+        let pairs = pairings
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (slot_of[i], p.fast.map(|_| slot_of[helpers + i])))
+            .collect();
+        let disruptions = slot_of[2 * helpers..].to_vec();
+        Self { ids, pairs, disruptions }
+    }
+}
+
+/// Sorts `(agent, tag)` pairs by agent with an LSD radix sort on 11-bit
+/// digits: two or three linear passes for any realistic fleet, where a
+/// comparison sort pays a log factor on every round's setup.
+fn radix_sort_by_agent(items: &mut Vec<(AgentId, u32)>) {
+    const DIGIT: u32 = 11;
+    let max = items.iter().map(|&(id, _)| id.0).max().unwrap_or(0);
+    let mut scratch = vec![(AgentId(0), 0u32); items.len()];
+    let mut shift = 0;
+    while shift < usize::BITS && max >> shift > 0 {
+        let digit = |id: AgentId| (id.0 >> shift) & ((1 << DIGIT) - 1);
+        let mut starts = [0usize; 1 << DIGIT];
+        for &(id, _) in items.iter() {
+            starts[digit(id)] += 1;
+        }
+        let mut sum = 0;
+        for s in starts.iter_mut() {
+            (*s, sum) = (sum, sum + *s);
+        }
+        for &item in items.iter() {
+            let d = digit(item.0);
+            scratch[starts[d]] = item;
+            starts[d] += 1;
+        }
+        std::mem::swap(items, &mut scratch);
+        shift += DIGIT;
+    }
+}
+
+/// Per-pair runtime state of the event pipeline. Agents are named by slot.
 #[derive(Debug, Clone)]
 struct PairState {
-    slow: AgentId,
-    fast: Option<AgentId>,
+    slow: usize,
+    fast: Option<usize>,
     offload: usize,
     sim: PairRoundSim,
     /// When each side may start (carry-over offsets).
@@ -349,7 +449,7 @@ pub struct EventRound<'a> {
     mode: AggregationMode,
     granularity: EventGranularity,
     disruptions: Vec<Disruption>,
-    ready_at: HashMap<AgentId, f64>,
+    ready_at: AgentMap<f64>,
     threads: usize,
 }
 
@@ -372,7 +472,7 @@ impl<'a> EventRound<'a> {
             mode: AggregationMode::Synchronous,
             granularity: EventGranularity::Fine,
             disruptions: Vec::new(),
-            ready_at: HashMap::new(),
+            ready_at: AgentMap::default(),
             threads: 1,
         }
     }
@@ -396,7 +496,7 @@ impl<'a> EventRound<'a> {
     }
 
     /// Per-agent start offsets carried over from the previous round.
-    pub fn ready_at(mut self, ready: HashMap<AgentId, f64>) -> Self {
+    pub fn ready_at(mut self, ready: AgentMap<f64>) -> Self {
         self.ready_at = ready;
         self
     }
@@ -421,13 +521,24 @@ impl<'a> EventRound<'a> {
     /// contiguous index chunks; chunk results are concatenated back in
     /// pairing order, so the caller applies exactly the sequence a
     /// single-threaded pass would produce.
-    fn prepare_pairs(&self, disrupted: &[bool]) -> Vec<(PairState, InitialEvent)> {
+    fn prepare_pairs(
+        &self,
+        slots: &[(usize, Option<usize>)],
+        disrupted: &[bool],
+    ) -> Vec<(PairState, InitialEvent)> {
         // Below this many pairs per worker, spawning costs more than the
         // preparation itself.
         const MIN_CHUNK: usize = 64;
+        let prepare = |pairings: &[Pairing], slots: &[(usize, Option<usize>)]| {
+            pairings
+                .iter()
+                .zip(slots)
+                .map(|(p, &s)| self.prepare_pair(p, s, disrupted))
+                .collect::<Vec<_>>()
+        };
         let n = self.pairings.len();
         if self.threads <= 1 || n < 2 * MIN_CHUNK {
-            return self.pairings.iter().map(|p| self.prepare_pair(p, disrupted)).collect();
+            return prepare(self.pairings, slots);
         }
         let chunk = n.div_ceil(self.threads).max(MIN_CHUNK);
         let mut out = Vec::with_capacity(n);
@@ -435,11 +546,8 @@ impl<'a> EventRound<'a> {
             let handles: Vec<_> = self
                 .pairings
                 .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        c.iter().map(|p| self.prepare_pair(p, disrupted)).collect::<Vec<_>>()
-                    })
-                })
+                .zip(slots.chunks(chunk))
+                .map(|(c, cs)| s.spawn(move || prepare(c, cs)))
                 .collect();
             for h in handles {
                 out.extend(h.join().expect("pair preparation panicked"));
@@ -450,8 +558,13 @@ impl<'a> EventRound<'a> {
 
     /// Builds one pair's pipeline state mirroring the closed-form
     /// [`PairRoundSim`] parameters exactly, plus the initial event it will
-    /// schedule.
-    fn prepare_pair(&self, p: &Pairing, disrupted: &[bool]) -> (PairState, InitialEvent) {
+    /// schedule. `slow_slot`/`fast_slot` are the pairing's agent slots.
+    fn prepare_pair(
+        &self,
+        p: &Pairing,
+        (slow_slot, fast_slot): (usize, Option<usize>),
+        disrupted: &[bool],
+    ) -> (PairState, InitialEvent) {
         let state = {
             let slow = self.world.agent(p.slow);
             let (fast, sim) = match p.fast {
@@ -495,8 +608,8 @@ impl<'a> EventRound<'a> {
             let slow_start = self.ready(p.slow);
             let fast_start = fast.map(|f| self.ready(f)).unwrap_or(slow_start);
             PairState {
-                slow: p.slow,
-                fast,
+                slow: slow_slot,
+                fast: fast.and(fast_slot),
                 offload: p.offload,
                 slow_start,
                 fast_start,
@@ -512,10 +625,10 @@ impl<'a> EventRound<'a> {
             }
         };
         let init = match state.fast {
-            Some(fast_id) => {
+            Some(fast) => {
                 let coarse = self.granularity == EventGranularity::Coarse
-                    && !disrupted[state.slow.0]
-                    && !disrupted[fast_id.0];
+                    && !disrupted[state.slow]
+                    && !disrupted[fast];
                 if state.sim.n_slow_batches == 0 {
                     InitialEvent::Suffix { at: state.helper_free + state.sim.suffix_return_s }
                 } else if coarse {
@@ -544,17 +657,25 @@ impl<'a> EventRound<'a> {
     /// Panics if a pairing references an agent outside the world.
     pub fn run(self) -> EventRoundReport {
         let setup_timer = comdml_obs::phase("round.setup");
-        let k = self.world.num_agents();
-        let mut driver = SimDriver::new(k);
+        let slots = RoundSlots::assign(self.pairings, &self.disruptions);
+        let ids = &slots.ids;
+        let n = ids.len();
+        // One initial event per pairing and per disruption.
+        let mut driver = SimDriver::with_capacity(n, self.pairings.len() + self.disruptions.len());
 
         // Agents targeted by a failure/leave: their pairings must run
-        // fine-grained so the disruption can strike mid-pipeline.
-        let mut disrupted = vec![false; k];
-        for d in &self.disruptions {
-            if let Disruption::Fail { agent, .. } | Disruption::Leave { agent, .. } = *d {
-                if agent.0 < k {
-                    disrupted[agent.0] = true;
+        // fine-grained so the disruption can strike mid-pipeline. A leave is
+        // graceful (not marked failed in the timeline); the last disruption
+        // naming an agent decides.
+        let mut disrupted = vec![false; n];
+        let mut graceful = vec![false; n];
+        for (d, &slot) in self.disruptions.iter().zip(&slots.disruptions) {
+            match d {
+                Disruption::Fail { .. } | Disruption::Leave { .. } => {
+                    disrupted[slot] = true;
+                    graceful[slot] = matches!(d, Disruption::Leave { .. });
                 }
+                Disruption::Join { .. } => {}
             }
         }
 
@@ -562,7 +683,7 @@ impl<'a> EventRound<'a> {
         // out across `pair_threads`), then apply the batches sequentially
         // in pairing order so the event schedule is thread-count invariant.
         let prepare_timer = comdml_obs::phase("round.parallel_pairs");
-        let prepared = self.prepare_pairs(&disrupted);
+        let prepared = self.prepare_pairs(&slots.pairs, &disrupted);
         drop(prepare_timer);
         let mut pairs: Vec<PairState> = Vec::with_capacity(prepared.len());
         let mut inits: Vec<InitialEvent> = Vec::with_capacity(prepared.len());
@@ -571,26 +692,18 @@ impl<'a> EventRound<'a> {
             inits.push(init);
         }
 
-        let mut pair_of: Vec<usize> = vec![NO_PAIR; k];
-        let mut participant = vec![false; k];
-        // The participant id list mirrors the `participant` flags so
-        // cohort assembly stays O(participants), not O(world).
-        let mut participant_ids: Vec<AgentId> = Vec::with_capacity(2 * pairs.len());
+        let mut pair_of: Vec<usize> = vec![NO_PAIR; n];
+        let mut participant = vec![false; n];
+        let mut expected_agents = 0usize;
         for (idx, p) in pairs.iter().enumerate() {
-            pair_of[p.slow.0] = idx;
-            if !participant[p.slow.0] {
-                participant_ids.push(p.slow);
-            }
-            participant[p.slow.0] = true;
-            if let Some(f) = p.fast {
-                pair_of[f.0] = idx;
-                if !participant[f.0] {
-                    participant_ids.push(f);
+            for slot in std::iter::once(p.slow).chain(p.fast) {
+                pair_of[slot] = idx;
+                if !participant[slot] {
+                    participant[slot] = true;
+                    expected_agents += 1;
                 }
-                participant[f.0] = true;
             }
         }
-        let expected_agents: usize = participant_ids.len();
         let mut remaining_tasks = expected_agents;
         let mut done_participants = 0usize;
 
@@ -602,19 +715,18 @@ impl<'a> EventRound<'a> {
             match *init {
                 InitialEvent::Solo { at } => {
                     driver.record_busy(p.slow, p.sim.fast_own_batch_s);
-                    driver.schedule_at(at, SimEvent::AgentDone { agent: p.slow });
+                    driver.schedule_at(at, SimEvent::AgentDone { slot: p.slow });
                 }
                 offloading => {
-                    let fast_id = p.fast.expect("offloading init implies a helper");
+                    let fast = p.fast.expect("offloading init implies a helper");
                     driver.record_busy(p.slow, p.sim.n_slow_batches as f64 * p.sim.slow_batch_s);
-                    driver
-                        .record_busy(fast_id, p.sim.n_fast_batches as f64 * p.sim.fast_own_batch_s);
+                    driver.record_busy(fast, p.sim.n_fast_batches as f64 * p.sim.fast_own_batch_s);
                     match offloading {
                         InitialEvent::Suffix { at } => {
                             driver.schedule_at(at, SimEvent::SuffixReturn { pair: idx });
                         }
                         InitialEvent::PairDone { at, guest_busy } => {
-                            driver.record_busy(fast_id, guest_busy);
+                            driver.record_busy(fast, guest_busy);
                             driver.schedule_at(at, SimEvent::PairDone { pair: idx });
                         }
                         InitialEvent::FirstBatch { at } => {
@@ -625,33 +737,23 @@ impl<'a> EventRound<'a> {
                 }
             }
         }
-        for d in &self.disruptions {
+        for (d, &slot) in self.disruptions.iter().zip(&slots.disruptions) {
             match *d {
-                Disruption::Fail { agent, at_s } | Disruption::Leave { agent, at_s } => {
-                    driver.schedule_at(at_s, SimEvent::AgentFail { agent });
+                Disruption::Fail { at_s, .. } | Disruption::Leave { at_s, .. } => {
+                    driver.schedule_at(at_s, SimEvent::AgentFail { slot });
                 }
-                Disruption::Join { agent, at_s } => {
-                    driver.schedule_at(at_s, SimEvent::AgentJoin { agent });
+                Disruption::Join { at_s, .. } => {
+                    driver.schedule_at(at_s, SimEvent::AgentJoin { slot });
                 }
             }
         }
-        // Crash vs graceful departure, for timeline bookkeeping.
-        let crashes: HashMap<AgentId, bool> = self
-            .disruptions
-            .iter()
-            .filter_map(|d| match *d {
-                Disruption::Fail { agent, .. } => Some((agent, true)),
-                Disruption::Leave { agent, .. } => Some((agent, false)),
-                Disruption::Join { .. } => None,
-            })
-            .collect();
 
-        let mut gone = vec![false; k];
-        let mut joined_pool: Vec<AgentId> = Vec::new();
+        let mut gone = vec![false; n];
+        let mut joined_pool: Vec<usize> = Vec::new();
         // Participants that reached done, in finish order (re-tasked agents
         // can appear twice) — the repair path's candidate pool, so helper
-        // replacement never scans the whole world.
-        let mut finished_pool: Vec<AgentId> = Vec::new();
+        // replacement never scans every slot.
+        let mut finished_pool: Vec<usize> = Vec::new();
         let mut repairs = 0usize;
         let mut local_fallbacks = 0usize;
         let mut aggregate_scheduled = false;
@@ -704,14 +806,14 @@ impl<'a> EventRound<'a> {
                         continue;
                     }
                     p.transfer_in_flight = false;
-                    let Some(fast_id) = p.fast else { continue };
-                    if gone[fast_id.0] {
+                    let Some(fast) = p.fast else { continue };
+                    if gone[fast] {
                         continue; // the helper died with this batch in flight
                     }
                     // Helper trains guest batches serially after its own task.
                     let guest_start = now.max(p.helper_free);
                     p.helper_free = guest_start + p.sim.fast_guest_batch_s;
-                    driver.record_busy(fast_id, p.sim.fast_guest_batch_s);
+                    driver.record_busy(fast, p.sim.fast_guest_batch_s);
                     p.guest_done_times.push(p.helper_free);
                     if p.guest_done_times.len() == p.sim.n_slow_batches {
                         driver.schedule_at(
@@ -733,15 +835,15 @@ impl<'a> EventRound<'a> {
                         continue;
                     }
                     p.done = true;
-                    let fast_id = p.fast.expect("coarse events only on offloading pairs");
+                    let fast = p.fast.expect("coarse events only on offloading pairs");
                     let ideal = p.sim.completion_closed_form(0.0, p.slow_start, p.fast_start);
                     let real = now - p.sim.suffix_return_s;
-                    driver.record_comm(fast_id, (real - ideal).max(0.0) + p.sim.suffix_return_s);
-                    if !gone[p.slow.0] {
-                        driver.schedule_at(now, SimEvent::AgentDone { agent: p.slow });
+                    driver.record_comm(fast, (real - ideal).max(0.0) + p.sim.suffix_return_s);
+                    if !gone[p.slow] {
+                        driver.schedule_at(now, SimEvent::AgentDone { slot: p.slow });
                     }
-                    if !gone[fast_id.0] {
-                        driver.schedule_at(now, SimEvent::AgentDone { agent: fast_id });
+                    if !gone[fast] {
+                        driver.schedule_at(now, SimEvent::AgentDone { slot: fast });
                     }
                 }
                 SimEvent::SuffixReturn { pair } => {
@@ -750,33 +852,33 @@ impl<'a> EventRound<'a> {
                         continue;
                     }
                     p.done = true;
-                    let fast_id = p.fast.expect("suffix returns only on offloading pairs");
+                    let fast = p.fast.expect("suffix returns only on offloading pairs");
                     // Communication accounting matches the closed form: the
                     // counterfactual stall vs an infinitely fast link, plus
                     // the suffix return, attributed to the helper.
                     let ideal = p.sim.completion_from(0.0, p.slow_start, p.fast_start);
                     let real = now - p.sim.suffix_return_s;
-                    driver.record_comm(fast_id, (real - ideal).max(0.0) + p.sim.suffix_return_s);
-                    if !gone[p.slow.0] {
-                        driver.schedule_at(now, SimEvent::AgentDone { agent: p.slow });
+                    driver.record_comm(fast, (real - ideal).max(0.0) + p.sim.suffix_return_s);
+                    if !gone[p.slow] {
+                        driver.schedule_at(now, SimEvent::AgentDone { slot: p.slow });
                     }
-                    if !gone[fast_id.0] {
-                        driver.schedule_at(now, SimEvent::AgentDone { agent: fast_id });
+                    if !gone[fast] {
+                        driver.schedule_at(now, SimEvent::AgentDone { slot: fast });
                     }
                 }
-                SimEvent::AgentDone { agent } => {
-                    if gone[agent.0] || driver.timeline(agent).done {
+                SimEvent::AgentDone { slot } => {
+                    if gone[slot] || driver.timeline(slot).done {
                         continue;
                     }
-                    let idx = pair_of[agent.0];
+                    let idx = pair_of[slot];
                     if idx != NO_PAIR {
                         // A solo task is complete the moment its agent is.
                         if pairs[idx].fast.is_none() {
                             pairs[idx].done = true;
                         }
                     }
-                    driver.mark_done(agent, now);
-                    finished_pool.push(agent);
+                    driver.mark_done(slot, now);
+                    finished_pool.push(slot);
                     remaining_tasks = remaining_tasks.saturating_sub(1);
                     done_participants += 1;
                     match self.mode {
@@ -810,20 +912,17 @@ impl<'a> EventRound<'a> {
                     }
                     aggregate_started = true;
                     trigger_time = Some(now);
-                    // Ascending-id cohort, exactly the old 0..k sweep's
-                    // output: participant ids are unique, so sorting them
-                    // and filtering matches the full-world scan bit for
-                    // bit at O(participants) cost.
-                    cohort = {
-                        let mut ids = participant_ids.clone();
-                        ids.sort_unstable();
-                        ids.retain(|&id| {
-                            driver.timeline(id).done
-                                && !gone[id.0]
-                                && self.world.agent(id).profile.is_connected()
-                        });
-                        ids
-                    };
+                    // Slots ascend with agent id, so the sweep yields the
+                    // ascending-id cohort directly.
+                    cohort = (0..n)
+                        .filter(|&slot| {
+                            participant[slot]
+                                && driver.timeline(slot).done
+                                && !gone[slot]
+                                && self.world.agent(ids[slot]).profile.is_connected()
+                        })
+                        .map(|slot| ids[slot])
+                        .collect();
                     allreduce_s = if cohort.len() > 1 {
                         // Collectives ride the *effective* uplink so a
                         // diurnal bandwidth trough slows the allreduce too.
@@ -847,28 +946,29 @@ impl<'a> EventRound<'a> {
                     // Stragglers keep draining; the loop continues so their
                     // finish times (and spill) are recorded.
                 }
-                SimEvent::AgentFail { agent } => {
-                    if gone[agent.0] {
+                SimEvent::AgentFail { slot } => {
+                    if gone[slot] {
                         continue;
                     }
-                    gone[agent.0] = true;
-                    if crashes.get(&agent).copied().unwrap_or(true) {
-                        driver.mark_failed(agent);
+                    gone[slot] = true;
+                    if !graceful[slot] {
+                        driver.mark_failed(slot);
                     }
-                    let idx = pair_of[agent.0];
+                    let idx = pair_of[slot];
                     if idx == NO_PAIR {
                         continue;
                     }
-                    if !driver.timeline(agent).done {
+                    if !driver.timeline(slot).done {
                         remaining_tasks = remaining_tasks.saturating_sub(1);
                     }
                     if !pairs[idx].done {
-                        if pairs[idx].fast == Some(agent) {
+                        if pairs[idx].fast == Some(slot) {
                             let (repaired, fell_back) = Self::handle_helper_loss(
                                 &mut driver,
                                 self.world,
                                 self.estimator,
                                 self.cal,
+                                ids,
                                 &mut pairs,
                                 idx,
                                 now,
@@ -877,17 +977,16 @@ impl<'a> EventRound<'a> {
                                 &finished_pool,
                                 &mut pair_of,
                                 &mut participant,
-                                &mut participant_ids,
                                 &mut remaining_tasks,
                                 &mut done_participants,
                             );
                             repairs += repaired as usize;
                             local_fallbacks += fell_back as usize;
-                        } else if pairs[idx].slow == agent {
+                        } else if pairs[idx].slow == slot {
                             let p = &mut pairs[idx];
                             p.slow_gone = true;
                             p.done = true;
-                            if let Some(fast_id) = p.fast.filter(|f| !gone[f.0]) {
+                            if let Some(fast) = p.fast.filter(|&f| !gone[f]) {
                                 // The helper keeps its own task; guest work
                                 // already trained is simply discarded.
                                 let own_end = p.fast_start
@@ -895,7 +994,7 @@ impl<'a> EventRound<'a> {
                                 let finish = own_end
                                     .max(p.guest_done_times.last().copied().unwrap_or(0.0))
                                     .max(now);
-                                driver.schedule_at(finish, SimEvent::AgentDone { agent: fast_id });
+                                driver.schedule_at(finish, SimEvent::AgentDone { slot: fast });
                             }
                         }
                     }
@@ -908,17 +1007,17 @@ impl<'a> EventRound<'a> {
                         driver.schedule_at(now, SimEvent::AggregateStart);
                     }
                 }
-                SimEvent::AgentJoin { agent } => {
+                SimEvent::AgentJoin { slot } => {
                     // Joiners idle until a re-pair claims them; they are not
                     // participants and never enter the aggregation cohort on
                     // their own.
-                    joined_pool.push(agent);
-                    driver.mark_done(agent, now);
+                    joined_pool.push(slot);
+                    driver.mark_done(slot, now);
                 }
-                SimEvent::AgentLeave { agent } => {
+                SimEvent::AgentLeave { slot } => {
                     // Disruption scheduling routes leaves through AgentFail;
                     // a directly injected Leave behaves identically.
-                    driver.schedule_at(now, SimEvent::AgentFail { agent });
+                    driver.schedule_at(now, SimEvent::AgentFail { slot });
                 }
             }
         }
@@ -938,6 +1037,7 @@ impl<'a> EventRound<'a> {
         let report_timer = comdml_obs::phase("round.report");
         let report = self.finish(
             driver,
+            ids,
             pairs,
             &participant,
             cohort,
@@ -965,7 +1065,8 @@ impl<'a> EventRound<'a> {
     }
 
     /// The helper of pair `idx` vanished: try to re-pair onto an idle agent,
-    /// otherwise let the slow side finish the suffix locally.
+    /// otherwise let the slow side finish the suffix locally. `ids` names
+    /// the agent in each slot.
     ///
     /// Returns `(repaired, local_fallback)`.
     #[allow(clippy::too_many_arguments)]
@@ -974,50 +1075,51 @@ impl<'a> EventRound<'a> {
         world: &World,
         estimator: &TrainingTimeEstimator<'_>,
         cal: &CostCalibration,
+        ids: &[AgentId],
         pairs: &mut [PairState],
         idx: usize,
         now: f64,
         gone: &[bool],
-        joined_pool: &[AgentId],
-        finished_pool: &[AgentId],
+        joined_pool: &[usize],
+        finished_pool: &[usize],
         pair_of: &mut [usize],
         participant: &mut [bool],
-        participant_ids: &mut Vec<AgentId>,
         remaining_tasks: &mut usize,
         done_participants: &mut usize,
     ) -> (bool, bool) {
         let trained = pairs[idx].guest_done_times.iter().filter(|&&t| t <= now).count();
-        let slow_id = pairs[idx].slow;
+        let slow = pairs[idx].slow;
+        let slow_id = ids[slow];
         // Idle candidates: agents whose whole pair already finished, plus
         // mid-round joiners — alive and reachable from the slow agent.
         // The repair only ever takes the fastest candidate (ties to the
-        // lower id), so a single argmax pass over the finished pool picks
-        // exactly the head of the sorted candidate list this used to
-        // build from a full-world sweep — O(finished), not O(world).
-        let mut best: Option<(f64, AgentId)> = None;
-        let consider = |id: AgentId, best: &mut Option<(f64, AgentId)>| {
-            let speed = estimator.batches_per_s(world.agent(id));
+        // lower id, which is the lower slot), so a single argmax pass over
+        // the finished pool picks exactly the head of the sorted candidate
+        // list a full-world sweep would build — O(finished), not O(world).
+        let mut best: Option<(f64, usize)> = None;
+        let consider = |slot: usize, best: &mut Option<(f64, usize)>| {
+            let speed = estimator.batches_per_s(world.agent(ids[slot]));
             let better = match *best {
                 None => true,
-                Some((top, top_id)) => speed > top || (speed == top && id < top_id),
+                Some((top, top_slot)) => speed > top || (speed == top && slot < top_slot),
             };
             if better {
-                *best = Some((speed, id));
+                *best = Some((speed, slot));
             }
         };
-        for &id in finished_pool {
-            if id != slow_id
-                && !gone[id.0]
-                && driver.timeline(id).done
-                && world.link_mbps(slow_id, id) > 0.0
-                && (pair_of[id.0] == NO_PAIR || pairs[pair_of[id.0]].done)
+        for &slot in finished_pool {
+            if slot != slow
+                && !gone[slot]
+                && driver.timeline(slot).done
+                && world.link_mbps(slow_id, ids[slot]) > 0.0
+                && (pair_of[slot] == NO_PAIR || pairs[pair_of[slot]].done)
             {
-                consider(id, &mut best);
+                consider(slot, &mut best);
             }
         }
-        for &id in joined_pool {
-            if !gone[id.0] && world.link_mbps(slow_id, id) > 0.0 {
-                consider(id, &mut best);
+        for &slot in joined_pool {
+            if !gone[slot] && world.link_mbps(slow_id, ids[slot]) > 0.0 {
+                consider(slot, &mut best);
             }
         }
 
@@ -1027,7 +1129,7 @@ impl<'a> EventRound<'a> {
             // Everything was already trained; only the suffix return was
             // lost. The slow agent proceeds as if it arrived now.
             p.done = true;
-            driver.schedule_at(now, SimEvent::AgentDone { agent: slow_id });
+            driver.schedule_at(now, SimEvent::AgentDone { slot: slow });
             return (false, false);
         }
         let entry = estimator.profile().entry(p.offload).expect("pair kept its profiled offload");
@@ -1035,8 +1137,9 @@ impl<'a> EventRound<'a> {
         if let Some((_, replacement)) = best {
             // Re-pair: the replacement hosts the remaining batches over its
             // own link; transferred-but-untrained batches are re-sent.
-            let link = world.link_mbps(slow_id, replacement);
-            let p_j = estimator.batches_per_s(world.agent(replacement));
+            let replacement_id = ids[replacement];
+            let link = world.link_mbps(slow_id, replacement_id);
+            let p_j = estimator.batches_per_s(world.agent(replacement_id));
             p.fast = Some(replacement);
             p.sim.fast_guest_batch_s = entry.t_fast_rel / p_j;
             p.sim.transfer_s = cal.transfer_time_s(entry.nu_bytes_per_batch, link);
@@ -1048,14 +1151,11 @@ impl<'a> EventRound<'a> {
             // A previously finished participant goes back to work: it must
             // not keep counting toward a semi-synchronous quorum until it
             // finishes again.
-            if participant[replacement.0] && driver.timeline(replacement).done {
+            if participant[replacement] && driver.timeline(replacement).done {
                 *done_participants = done_participants.saturating_sub(1);
             }
-            pair_of[replacement.0] = idx;
-            if !participant[replacement.0] {
-                participant_ids.push(replacement);
-            }
-            participant[replacement.0] = true;
+            pair_of[replacement] = idx;
+            participant[replacement] = true;
             // The replacement picks up a fresh task: it must finish again.
             driver.mark_active(replacement);
             *remaining_tasks += 1;
@@ -1069,20 +1169,22 @@ impl<'a> EventRound<'a> {
             let local_batch_s = entry.t_fast_rel / p_i;
             let production_end = p.slow_start + p.sim.n_slow_batches as f64 * p.sim.slow_batch_s;
             let finish = now.max(production_end) + remaining as f64 * local_batch_s;
-            driver.record_busy(slow_id, remaining as f64 * local_batch_s);
+            driver.record_busy(slow, remaining as f64 * local_batch_s);
             p.done = true;
             p.fast = None;
-            driver.schedule_at(finish, SimEvent::AgentDone { agent: slow_id });
+            driver.schedule_at(finish, SimEvent::AgentDone { slot: slow });
             (false, true)
         }
     }
 
     /// Converts driver timelines into the classic [`RoundOutcome`] plus the
-    /// event-only extras.
+    /// event-only extras. Every sweep is over slots (`ids` names the agent
+    /// in each), in ascending id order.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         self,
         driver: SimDriver,
+        ids: &[AgentId],
         pairs: Vec<PairState>,
         participant: &[bool],
         cohort: Vec<AgentId>,
@@ -1095,9 +1197,9 @@ impl<'a> EventRound<'a> {
         let timelines = driver.timelines();
         let live_finishes: Vec<f64> = timelines
             .iter()
-            .enumerate()
-            .filter(|&(i, t)| participant[i] && t.done)
-            .map(|(_, t)| t.finish_s)
+            .zip(participant)
+            .filter(|&(t, &p)| p && t.done)
+            .map(|(t, _)| t.finish_s)
             .collect();
         let makespan = live_finishes.iter().fold(0.0f64, |a, &b| a.max(b));
 
@@ -1116,10 +1218,8 @@ impl<'a> EventRound<'a> {
                 let bytes = self.estimator.profile().model_bytes();
                 let mut exchange_total = 0.0;
                 let mut async_cohort: Vec<AgentId> = Vec::new();
-                for (i, t) in timelines.iter().enumerate() {
-                    let id = AgentId(i);
-                    let a = self.world.agent(id);
-                    if participant[i] && t.done && a.profile.is_connected() {
+                for ((t, &p), &id) in timelines.iter().zip(participant).zip(ids) {
+                    if p && t.done && self.world.agent(id).profile.is_connected() {
                         let cost = CollectiveCost::new(self.algorithm, 2, bytes);
                         exchange_total += cost.time_s(
                             self.cal.bytes_per_s(self.world.uplink_mbps(id)),
@@ -1138,48 +1238,42 @@ impl<'a> EventRound<'a> {
         // simulator reported them. A repaired pairing can name an agent a
         // second time (its own pair plus the one it rescued); the timeline
         // already aggregates both roles, so each agent is reported once.
+        // Spill and the finished flags ride along, aligned with the stats.
         let mut stats = Vec::new();
+        let mut spill_s = Vec::new();
+        let mut finished = Vec::new();
         let mut listed = vec![false; timelines.len()];
         let mut num_offloads = 0usize;
         for p in &pairs {
             if p.is_offloading() {
                 num_offloads += 1;
             }
-            let mut push = |id: AgentId, listed: &mut Vec<bool>| {
-                if listed[id.0] {
-                    return;
+            for slot in std::iter::once(p.slow).chain(p.fast) {
+                if listed[slot] {
+                    continue;
                 }
-                listed[id.0] = true;
-                let t = &timelines[id.0];
+                listed[slot] = true;
+                let t = &timelines[slot];
                 let finish = if t.done { t.finish_s } else { compute_s };
                 stats.push(AgentRoundStats {
-                    id,
+                    id: ids[slot],
                     train_s: t.busy_s,
                     comm_s: t.comm_s,
                     idle_s: (compute_s - t.busy_s - t.comm_s).max(0.0),
                     finish_s: finish,
                 });
-            };
-            push(p.slow, &mut listed);
-            if let Some(f) = p.fast {
-                push(f, &mut listed);
+                let done = participant[slot] && t.done;
+                finished.push(done);
+                spill_s.push(if done { (t.finish_s - round_end_s).max(0.0) } else { 0.0 });
             }
         }
-
-        let spill_s: Vec<f64> =
-            timelines
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    if participant[i] && t.done {
-                        (t.finish_s - round_end_s).max(0.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-        let finished: Vec<bool> =
-            timelines.iter().enumerate().map(|(i, t)| participant[i] && t.done).collect();
+        // A participant that finished is always still named by a pairing
+        // (only unfinished helpers are rewired away), so the stats-aligned
+        // spill covers every agent with work to carry.
+        debug_assert!(
+            timelines.iter().zip(participant).zip(&listed).all(|((t, &p), &l)| l || !(p && t.done)),
+            "a finished participant is missing from the round's stats"
+        );
 
         EventRoundReport {
             outcome: RoundOutcome { agent_stats: stats, compute_s, allreduce_s, num_offloads },

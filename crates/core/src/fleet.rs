@@ -49,9 +49,7 @@
 //! Any other engine runs through [`FleetSim::with_engine`], on a driver
 //! the caller may shape first (e.g. Dirichlet dataset sizes).
 
-use std::collections::HashMap;
-
-use comdml_simnet::{AgentId, FleetConfig, FleetDriver, MembershipChange};
+use comdml_simnet::{AgentId, AgentMap, FleetConfig, FleetDriver, MembershipChange};
 use serde::{Deserialize, Serialize};
 
 use crate::estimator::solo_time_s;
@@ -143,7 +141,7 @@ pub struct FleetSim<E = ComDml> {
     fleet: FleetDriver,
     config: ComDmlConfig,
     engine: E,
-    ready_at: HashMap<AgentId, f64>,
+    ready_at: AgentMap<f64>,
     last_round_s: f64,
     rounds_run: usize,
     total_sim_s: f64,
@@ -177,7 +175,7 @@ impl<E: RoundEngine> FleetSim<E> {
             fleet,
             config,
             engine,
-            ready_at: HashMap::new(),
+            ready_at: AgentMap::default(),
             last_round_s: 0.0,
             rounds_run: 0,
             total_sim_s: 0.0,
@@ -198,7 +196,7 @@ impl<E: RoundEngine> FleetSim<E> {
 
     /// Per-agent head starts carried into the next round — only ever for
     /// agents that are still active members.
-    pub fn carry_over(&self) -> &HashMap<AgentId, f64> {
+    pub fn carry_over(&self) -> &AgentMap<f64> {
         &self.ready_at
     }
 
@@ -241,33 +239,31 @@ impl<E: RoundEngine> FleetSim<E> {
                 .map(|a| solo_time_s(model, cal, a))
                 .fold(0.0f64, f64::max)
         };
+        let membership_timer = comdml_obs::phase("fleet.membership");
         let plan = self.fleet.begin_round(horizon);
-        // Carry-over hygiene: drop head starts of agents that departed.
-        self.ready_at.retain(|id, _| plan.participants.binary_search(id).is_ok());
+        drop(membership_timer);
 
         // Table III-style per-round participation sampling composed on top
         // of elastic membership: the round runs over a sampled subset of
         // the *active* members. At rate 1.0 the participation stream is
         // never touched, so enabling the knob cannot perturb existing runs.
+        let sample_timer = comdml_obs::phase("fleet.sample");
         let participants: Vec<AgentId> = if self.config.sampling_rate < 1.0 {
-            self.fleet
-                .world_mut()
-                .sample_participants_among(&plan.participants, self.config.sampling_rate)
+            self.fleet.sample_active(self.config.sampling_rate)
         } else {
-            plan.participants.clone()
+            self.fleet.active_ids()
         };
-        // Carry-over of active-but-unsampled agents is *held*, not lost:
+        drop(sample_timer);
+
+        // The sampled participants' head starts ride into the round; those
+        // of active-but-unsampled agents are *held* in place, not lost:
         // they re-enter a later round with their head start intact.
-        let mut round_carry = std::mem::take(&mut self.ready_at);
-        let held: HashMap<AgentId, f64> = if participants.len() < plan.participants.len() {
-            let (held, kept) = round_carry
-                .into_iter()
-                .partition(|(id, _)| participants.binary_search(id).is_err());
-            round_carry = kept;
-            held
-        } else {
-            HashMap::new()
-        };
+        let carry_timer = comdml_obs::phase("fleet.carry");
+        let round_carry: AgentMap<f64> = participants
+            .iter()
+            .filter_map(|&id| self.ready_at.remove(&id).map(|s| (id, s)))
+            .collect();
+        drop(carry_timer);
 
         let changes: Vec<Disruption> = plan
             .events
@@ -287,8 +283,15 @@ impl<E: RoundEngine> FleetSim<E> {
                     .then_some(Disruption::Leave { agent: e.agent, at_s: e.at_s }),
             })
             .collect();
-        let joins = plan.events.iter().filter(|e| e.kind == MembershipChange::Join).count();
-        let leaves = changes.len() - joins;
+        let leave_times: Vec<f64> = changes
+            .iter()
+            .filter_map(|c| match *c {
+                Disruption::Leave { at_s, .. } => Some(at_s),
+                _ => None,
+            })
+            .collect();
+        let leaves = leave_times.len();
+        let joins = changes.len() - leaves;
 
         let input = RoundInput { round, participants: &participants, changes, carry: round_carry };
         let progress = self.engine.round(self.fleet.world(), input);
@@ -301,26 +304,33 @@ impl<E: RoundEngine> FleetSim<E> {
             // to the next membership event instead.
             round_s = self.fleet.seconds_to_next_event().unwrap_or(0.0);
         }
+        let membership_timer = comdml_obs::phase("fleet.membership");
         self.fleet.end_round(round_s);
-        // New carry-over: spill of agents that are still active members,
-        // plus the held head starts of active-but-unsampled agents.
-        self.ready_at =
-            progress.spill.iter().filter(|&&(id, _)| self.fleet.is_active(id)).copied().collect();
-        for (id, s) in held {
-            if self.fleet.is_active(id) {
-                self.ready_at.insert(id, s);
+        drop(membership_timer);
+        // Carry-over hygiene: drop the held head starts of agents that
+        // departed (unless a newcomer already reuses the slot), then add
+        // this round's spill of agents still active.
+        let carry_timer = comdml_obs::phase("fleet.carry");
+        let fleet = &self.fleet;
+        for id in fleet.departed_last_round() {
+            if !fleet.is_active(*id) {
+                self.ready_at.remove(id);
             }
         }
+        self.ready_at
+            .extend(progress.spill.iter().filter(|&&(id, _)| fleet.is_active(id)).copied());
+        drop(carry_timer);
 
         // Of the leaves handed to the round, only those landing inside the
-        // realized duration actually disrupted it; later forecast events
-        // stay active and are reported the round they commit. Closed-form
-        // engines never see the leaves, but are charged the same way.
-        let leaves_committed = plan.committed_leaves_among(&participants, round_s);
+        // realized duration (`at_s <= round_s`) actually disrupted it; later
+        // forecast events stay active and are reported the round they
+        // commit. Closed-form engines never see the leaves, but are charged
+        // the same way.
+        let leaves_committed = leave_times.iter().filter(|&&at_s| at_s <= round_s).count();
 
         // An empty round's duration is a fast-forward jump, not a round
         // time; don't let it inflate the next planning horizon.
-        self.last_round_s = if plan.participants.is_empty() { 0.0 } else { round_s };
+        self.last_round_s = if plan.active == 0 { 0.0 } else { round_s };
         self.rounds_run += 1;
         self.total_sim_s += round_s;
         self.effective_rounds += progress.efficiency;
@@ -341,7 +351,7 @@ impl<E: RoundEngine> FleetSim<E> {
         }
         FleetRoundSummary {
             round,
-            participants: plan.participants.len(),
+            participants: plan.active,
             sampled: participants.len(),
             cohort: progress.cohort,
             joins,
@@ -666,7 +676,7 @@ mod tests {
         };
         let mut sim = FleetSim::new(churny_fleet(13), cfg);
         let mut ever_held = false;
-        let mut prev: HashMap<AgentId, f64> = HashMap::new();
+        let mut prev: AgentMap<f64> = AgentMap::default();
         for _ in 0..25 {
             let _ = sim.step();
             for id in sim.carry_over().keys() {

@@ -21,7 +21,14 @@ use serde::{Deserialize, Serialize};
 /// assert!(staleness_weight(2.0, 0.5) < staleness_weight(1.0, 0.5));
 /// ```
 pub fn staleness_weight(staleness: f64, decay: f64) -> f64 {
-    (1.0 + staleness.max(0.0)).powf(-decay.max(0.0))
+    // A fresh update weighs exactly 1 (`pow(1, y) == 1` for every `y`);
+    // skipping the `powf` keeps per-round efficiency cheap when most of a
+    // large cohort is fresh.
+    let staleness = staleness.max(0.0);
+    if staleness == 0.0 {
+        return 1.0;
+    }
+    (1.0 + staleness).powf(-decay.max(0.0))
 }
 
 /// A saturating-exponential accuracy model:

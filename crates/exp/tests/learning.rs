@@ -72,13 +72,12 @@ fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, u
                 }
             }
             let plan = driver.begin_round(horizon);
-            let empty_round = plan.participants.is_empty();
+            let empty_round = plan.active == 0;
             let participants = if scenario.sampling_rate < 1.0 {
-                driver
-                    .world_mut()
-                    .sample_participants_among(&plan.participants, scenario.sampling_rate)
+                let active = driver.active_ids();
+                driver.world_mut().sample_participants_among(&active, scenario.sampling_rate)
             } else {
-                plan.participants
+                driver.active_ids()
             };
             let mut t = engine.round(driver.world(), RoundInput::new(r, &participants)).round_s;
             if t <= 0.0 {

@@ -1,4 +1,6 @@
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -21,6 +23,38 @@ impl fmt::Display for AgentId {
 impl From<usize> for AgentId {
     fn from(v: usize) -> Self {
         AgentId(v)
+    }
+}
+
+/// A hash map keyed by [`AgentId`], hashed with [`AgentIdHasher`].
+pub type AgentMap<V> = HashMap<AgentId, V, BuildHasherDefault<AgentIdHasher>>;
+
+/// A one-multiply hash for agent ids (the FxHash step). Ids are dense
+/// integers chosen by the simulation, not by an adversary, so SipHash's
+/// flooding resistance buys nothing on per-round paths such as the carried
+/// head starts, while its cost shows at a 10k-agent cohort.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AgentIdHasher(u64);
+
+impl AgentIdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for AgentIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 }
 

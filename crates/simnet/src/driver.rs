@@ -1,10 +1,12 @@
-use crate::{AgentId, EventQueue};
+use crate::EventQueue;
 
 /// Typed events of the ComDML discrete-event simulation.
 ///
 /// `pair` fields index into the round's pairing list (the round engine in
 /// `comdml-core` owns the per-pair state); agent-level events carry the
-/// [`AgentId`] directly. The engine is deliberately open-ended: fleet-level
+/// agent's *slot* — the dense index the caller gave it among the agents
+/// the simulation touches (see [`SimDriver`]). The engine is deliberately
+/// open-ended: fleet-level
 /// dynamics (failure, join, leave) share the same queue as the per-batch
 /// pipeline events, so a helper can die halfway through a transfer and the
 /// handler observes it in causal order.
@@ -41,29 +43,31 @@ pub enum SimEvent {
         /// Pairing index within the round.
         pair: usize,
     },
-    /// `agent` finished its round task (solo epoch or its half of a pair).
+    /// The agent in `slot` finished its round task (solo epoch or its
+    /// half of a pair).
     AgentDone {
-        /// The finishing agent.
-        agent: AgentId,
+        /// The finishing agent's slot.
+        slot: usize,
     },
     /// Aggregation began over the currently finished cohort.
     AggregateStart,
     /// Aggregation completed; the round's critical path ends here.
     AggregateDone,
-    /// `agent` failed (crash-stop). Pairs it participates in must react.
+    /// The agent in `slot` failed (crash-stop). Pairs it participates in
+    /// must react.
     AgentFail {
-        /// The failing agent.
-        agent: AgentId,
+        /// The failing agent's slot.
+        slot: usize,
     },
-    /// `agent` joined the fleet mid-simulation.
+    /// The agent in `slot` joined the fleet mid-simulation.
     AgentJoin {
-        /// The joining agent.
-        agent: AgentId,
+        /// The joining agent's slot.
+        slot: usize,
     },
-    /// `agent` left the fleet gracefully.
+    /// The agent in `slot` left the fleet gracefully.
     AgentLeave {
-        /// The leaving agent.
-        agent: AgentId,
+        /// The leaving agent's slot.
+        slot: usize,
     },
 }
 
@@ -85,31 +89,37 @@ pub struct AgentTimeline {
 /// The discrete-event simulation driver: a shared simulated clock, the
 /// typed event queue, and per-agent timelines.
 ///
+/// Timelines are indexed by *slot*: the caller numbers the agents a
+/// simulation can touch `0..n` and sizes the driver by `n`, so a round over
+/// a small cohort of a huge world allocates cohort-sized state. The round
+/// engine in `comdml-core` assigns slots in ascending agent-id order.
+///
 /// The driver intentionally has *no* callback registration — the consumer
 /// drains events in causal order with [`SimDriver::next`] and schedules
 /// follow-ups, which keeps borrow scopes trivial and makes handlers easy
 /// to test:
 ///
 /// ```
-/// use comdml_simnet::{AgentId, SimDriver, SimEvent};
+/// use comdml_simnet::{SimDriver, SimEvent};
 ///
 /// let mut driver = SimDriver::new(2);
-/// // Agent 0 produces one batch at t=1.0; the transfer takes 0.5s.
+/// // The agent in slot 0 produces one batch at t=1.0; the transfer takes
+/// // 0.5s.
 /// driver.schedule_at(1.0, SimEvent::BatchProduced { pair: 0, batch: 0 });
 /// while let Some((t, ev)) = driver.next() {
 ///     match ev {
 ///         SimEvent::BatchProduced { pair, batch } => {
-///             driver.record_busy(AgentId(0), 1.0);
+///             driver.record_busy(0, 1.0);
 ///             driver.schedule_in(0.5, SimEvent::TransferComplete { pair, batch });
 ///         }
 ///         SimEvent::TransferComplete { .. } => {
-///             driver.mark_done(AgentId(0), t);
+///             driver.mark_done(0, t);
 ///         }
 ///         _ => {}
 ///     }
 /// }
 /// assert_eq!(driver.now(), 1.5);
-/// assert!(driver.timeline(AgentId(0)).done);
+/// assert!(driver.timeline(0).done);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimDriver {
@@ -121,12 +131,19 @@ pub struct SimDriver {
 }
 
 impl SimDriver {
-    /// Creates a driver for a fleet of `num_agents`, clock at zero.
-    pub fn new(num_agents: usize) -> Self {
+    /// Like [`SimDriver::new`], with the event queue pre-sized for an
+    /// opening burst of about `events` scheduled events (see
+    /// [`EventQueue::with_capacity`]).
+    pub fn with_capacity(num_slots: usize, events: usize) -> Self {
+        Self { queue: EventQueue::with_capacity(events), ..Self::new(num_slots) }
+    }
+
+    /// Creates a driver for `num_slots` agent slots, clock at zero.
+    pub fn new(num_slots: usize) -> Self {
         Self {
             queue: EventQueue::new(),
             now: 0.0,
-            timelines: vec![AgentTimeline::default(); num_agents],
+            timelines: vec![AgentTimeline::default(); num_slots],
             processed: 0,
             peak_pending: 0,
         }
@@ -210,45 +227,46 @@ impl SimDriver {
         Some((t, ev))
     }
 
-    /// Accounts `seconds` of compute on `agent`'s timeline.
-    pub fn record_busy(&mut self, agent: AgentId, seconds: f64) {
-        self.timelines[agent.0].busy_s += seconds;
+    /// Accounts `seconds` of compute on the timeline of `slot`.
+    pub fn record_busy(&mut self, slot: usize, seconds: f64) {
+        self.timelines[slot].busy_s += seconds;
     }
 
-    /// Accounts `seconds` of critical-path communication on `agent`'s
-    /// timeline.
-    pub fn record_comm(&mut self, agent: AgentId, seconds: f64) {
-        self.timelines[agent.0].comm_s += seconds;
+    /// Accounts `seconds` of critical-path communication on the timeline
+    /// of `slot`.
+    pub fn record_comm(&mut self, slot: usize, seconds: f64) {
+        self.timelines[slot].comm_s += seconds;
     }
 
-    /// Marks `agent`'s round task finished at time `at`.
-    pub fn mark_done(&mut self, agent: AgentId, at: f64) {
-        let t = &mut self.timelines[agent.0];
+    /// Marks the task of `slot` finished at time `at`.
+    pub fn mark_done(&mut self, slot: usize, at: f64) {
+        let t = &mut self.timelines[slot];
         t.done = true;
         t.finish_s = at;
     }
 
-    /// Marks `agent` crash-stopped.
-    pub fn mark_failed(&mut self, agent: AgentId) {
-        self.timelines[agent.0].failed = true;
+    /// Marks `slot` crash-stopped.
+    pub fn mark_failed(&mut self, slot: usize) {
+        self.timelines[slot].failed = true;
     }
 
-    /// Clears `agent`'s done flag — used when an idle agent is re-tasked
-    /// mid-round (e.g. claimed as a replacement helper after a failure).
-    pub fn mark_active(&mut self, agent: AgentId) {
-        self.timelines[agent.0].done = false;
+    /// Clears the done flag of `slot` — used when an idle agent is
+    /// re-tasked mid-round (e.g. claimed as a replacement helper after a
+    /// failure).
+    pub fn mark_active(&mut self, slot: usize) {
+        self.timelines[slot].done = false;
     }
 
-    /// One agent's accumulated timeline.
+    /// One slot's accumulated timeline.
     ///
     /// # Panics
     ///
-    /// Panics if the id is out of range.
-    pub fn timeline(&self, agent: AgentId) -> &AgentTimeline {
-        &self.timelines[agent.0]
+    /// Panics if the slot is out of range.
+    pub fn timeline(&self, slot: usize) -> &AgentTimeline {
+        &self.timelines[slot]
     }
 
-    /// All timelines, indexed by agent id.
+    /// All timelines, indexed by slot.
     pub fn timelines(&self) -> &[AgentTimeline] {
         &self.timelines
     }
@@ -267,7 +285,7 @@ mod tests {
     fn clock_advances_with_events() {
         let mut d = SimDriver::new(1);
         d.schedule_at(2.0, SimEvent::AggregateStart);
-        d.schedule_at(1.0, SimEvent::AgentDone { agent: AgentId(0) });
+        d.schedule_at(1.0, SimEvent::AgentDone { slot: 0 });
         let (t1, e1) = d.next().unwrap();
         assert_eq!(t1, 1.0);
         assert!(matches!(e1, SimEvent::AgentDone { .. }));
@@ -299,14 +317,14 @@ mod tests {
     #[test]
     fn timelines_accumulate() {
         let mut d = SimDriver::new(2);
-        d.record_busy(AgentId(0), 2.0);
-        d.record_busy(AgentId(0), 3.0);
-        d.record_comm(AgentId(1), 1.0);
-        d.mark_done(AgentId(0), 5.0);
-        assert_eq!(d.timeline(AgentId(0)).busy_s, 5.0);
-        assert_eq!(d.timeline(AgentId(1)).comm_s, 1.0);
-        assert!(d.timeline(AgentId(0)).done);
-        assert!(!d.timeline(AgentId(1)).done);
+        d.record_busy(0, 2.0);
+        d.record_busy(0, 3.0);
+        d.record_comm(1, 1.0);
+        d.mark_done(0, 5.0);
+        assert_eq!(d.timeline(0).busy_s, 5.0);
+        assert_eq!(d.timeline(1).comm_s, 1.0);
+        assert!(d.timeline(0).done);
+        assert!(!d.timeline(1).done);
         assert_eq!(d.done_count(), 1);
     }
 
@@ -330,8 +348,8 @@ mod tests {
     fn identical_schedules_replay_identically() {
         let run = || {
             let mut d = SimDriver::new(3);
-            d.schedule_at(1.0, SimEvent::AgentDone { agent: AgentId(0) });
-            d.schedule_at(1.0, SimEvent::AgentDone { agent: AgentId(1) });
+            d.schedule_at(1.0, SimEvent::AgentDone { slot: 0 });
+            d.schedule_at(1.0, SimEvent::AgentDone { slot: 1 });
             d.schedule_at(0.5, SimEvent::BatchProduced { pair: 0, batch: 0 });
             let mut order = Vec::new();
             while let Some((t, ev)) = d.next() {

@@ -125,6 +125,15 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Creates an empty queue whose calendar already has room for about
+    /// `events` pending events, so an opening burst of that many pushes
+    /// does not regrow — and re-bucket — it on the way. The bucket width
+    /// keeps its default until the first resize re-estimates it.
+    pub fn with_capacity(events: usize) -> Self {
+        let nb = events.div_ceil(2).max(MIN_BUCKETS).next_power_of_two();
+        Self { buckets: (0..nb).map(|_| BinaryHeap::new()).collect(), ..Self::new() }
+    }
+
     /// The virtual (un-wrapped) bucket an event time belongs to. Equal
     /// times share a quotient, hence a bucket, hence an explicit
     /// sequence-number tie-break — the determinism contract.

@@ -11,11 +11,13 @@
 //! The driver owns the [`World`] across rounds and deliberately knows
 //! nothing about round execution. Each round is a two-phase handshake:
 //!
-//! 1. [`FleetDriver::begin_round`] returns a [`FleetRoundPlan`]: the active
-//!    membership at the round start plus every arrival/departure whose
-//!    absolute fleet time falls inside the caller-supplied horizon, as
+//! 1. [`FleetDriver::begin_round`] returns a [`FleetRoundPlan`]: the size of
+//!    the active membership at the round start plus every arrival/departure
+//!    whose absolute fleet time falls inside the caller-supplied horizon, as
 //!    round-relative [`MembershipEvent`]s. The round engine injects these as
-//!    mid-round join/leave disruptions.
+//!    mid-round join/leave disruptions. The members themselves come from
+//!    [`FleetDriver::active_ids`] or, for a sampled cohort,
+//!    [`FleetDriver::sample_active`].
 //! 2. [`FleetDriver::end_round`] receives the round's actual simulated
 //!    duration, advances the fleet clock, and commits every membership
 //!    change whose absolute time has now passed — departed agents
@@ -30,6 +32,11 @@
 //! observe the *same* agents arriving and departing at the *same* fleet
 //! times, which is what makes churn comparisons apples-to-apples.
 //!
+//! Membership is indexed (an O(1) active count, a Fenwick tree for the
+//! i-th active id, a bucketed `(depart_at, id)` index for departures), so
+//! a round's membership work scales with its cohort and its events, not
+//! with the world.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +47,8 @@
 //!     .lifetime(SessionLifetime::Exponential { mean_s: 500.0 })
 //!     .build();
 //! let plan = fleet.begin_round(100.0);
-//! assert_eq!(plan.participants.len(), 20);
+//! assert_eq!(plan.active, 20);
+//! assert_eq!(fleet.active_ids().len(), 20);
 //! fleet.end_round(100.0);
 //! assert!(fleet.active_count() <= fleet.world().num_agents());
 //! ```
@@ -48,6 +56,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::membership::{ActiveSet, DepartureIndex};
 use crate::{
     AgentId, AgentProfile, DistSampler, DistributionConfig, JoinTopology, Topology, World,
     WorldConfig,
@@ -144,30 +153,12 @@ pub struct MembershipEvent {
 pub struct FleetRoundPlan {
     /// Zero-based round index.
     pub round: usize,
-    /// Agents active at the round start, ascending by id.
-    pub participants: Vec<AgentId>,
+    /// Number of agents active at the round start
+    /// ([`FleetDriver::active_ids`] lists them until `end_round`).
+    pub active: usize,
     /// Arrivals/departures expected within the caller's horizon, ascending
     /// by `at_s`.
     pub events: Vec<MembershipEvent>,
-}
-
-impl FleetRoundPlan {
-    /// Departures among `participants` (sorted ascending by id) that land
-    /// *inside* a round of realized duration `round_s` (`at_s <= round_s`).
-    /// The events list forecasts the caller's whole planning horizon, so a
-    /// later departure stays active past `end_round` and re-appears in the
-    /// next plan — this commit rule is what churn-coupled accuracy charging
-    /// uses on every path, kept here so it cannot drift between them.
-    pub fn committed_leaves_among(&self, participants: &[AgentId], round_s: f64) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                e.kind == MembershipChange::Leave
-                    && e.at_s <= round_s
-                    && participants.binary_search(&e.agent).is_ok()
-            })
-            .count()
-    }
 }
 
 /// Builder for a [`FleetDriver`].
@@ -349,7 +340,8 @@ impl FleetConfig {
             join,
             clock_s: 0.0,
             round: 0,
-            active: vec![true; k],
+            active: ActiveSet::all_active(k),
+            departures: DepartureIndex::from_times(&depart_at),
             depart_at,
             next_arrival_s: None,
             prev_arrival_s: 0.0,
@@ -365,6 +357,8 @@ impl FleetConfig {
             gap_sampler,
             pending_joins: Vec::new(),
             free_slots: std::collections::VecDeque::new(),
+            sample_positions: Vec::new(),
+            departed: Vec::new(),
             in_round: false,
             peak_active: k,
             arrivals_total: 0,
@@ -385,8 +379,10 @@ pub struct FleetDriver {
     join: JoinTopology,
     clock_s: f64,
     round: usize,
-    /// Whether each world agent is currently an active fleet member.
-    active: Vec<bool>,
+    /// Which world agents are currently active fleet members.
+    active: ActiveSet,
+    /// Finite departure times of the active agents.
+    departures: DepartureIndex,
     /// Absolute fleet time at which each agent departs (∞ = never).
     depart_at: Vec<f64>,
     /// Next pending arrival time (absolute), drawn lazily.
@@ -418,6 +414,10 @@ pub struct FleetDriver {
     /// World slots of committed departures, available for reuse when
     /// [`FleetConfig::recycle_slots`] is on (FIFO by departure commit).
     free_slots: std::collections::VecDeque<AgentId>,
+    /// Reused participation-sampling buffer (positions among the active).
+    sample_positions: Vec<u32>,
+    /// Departures the last `end_round` committed, in commit order.
+    departed: Vec<AgentId>,
     in_round: bool,
     peak_active: usize,
     arrivals_total: usize,
@@ -449,12 +449,36 @@ impl FleetDriver {
 
     /// Number of currently active agents.
     pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.active.count()
     }
 
     /// Whether `id` is an active fleet member.
     pub fn is_active(&self, id: AgentId) -> bool {
-        self.active.get(id.0).copied().unwrap_or(false)
+        self.active.contains(id.0)
+    }
+
+    /// The active members, ascending by id.
+    pub fn active_ids(&self) -> Vec<AgentId> {
+        self.active.iter().map(AgentId).collect()
+    }
+
+    /// Samples a participation cohort of the active members at `rate`:
+    /// exactly what [`World::sample_participants_among`] returns for
+    /// [`FleetDriver::active_ids`], on the same RNG stream, without
+    /// materializing the active list. Costs one shuffle of a reused
+    /// `u32` position buffer plus at most O(n · log world) to name the n
+    /// sampled positions.
+    pub fn sample_active(&mut self, rate: f64) -> Vec<AgentId> {
+        let k = self.active.count();
+        self.world.sample_positions(k, rate, &mut self.sample_positions);
+        self.active.select_ascending(&self.sample_positions).into_iter().map(AgentId).collect()
+    }
+
+    /// The agents whose departures the last [`FleetDriver::end_round`]
+    /// committed, in commit order. A recycled slot can be active again by
+    /// the time the call returns (a boundary arrival reused it).
+    pub fn departed_last_round(&self) -> &[AgentId] {
+        &self.departed
     }
 
     /// Largest concurrent active membership observed so far.
@@ -498,10 +522,8 @@ impl FleetDriver {
         for &(_, t) in &self.pending_joins {
             next = next.min(t);
         }
-        for i in 0..self.world.num_agents() {
-            if self.active[i] {
-                next = next.min(self.depart_at[i]);
-            }
+        if let Some(t) = self.departures.earliest() {
+            next = next.min(t);
         }
         if let Some(t) = self.peek_next_arrival() {
             next = next.min(t);
@@ -580,7 +602,7 @@ impl FleetDriver {
                     self.join,
                     &mut self.topology_rng,
                 );
-                debug_assert!(!self.active[id.0], "free slot must be inactive");
+                debug_assert!(!self.active.contains(id.0), "free slot must be inactive");
                 self.depart_at[id.0] = at + session;
                 self.slots_recycled += 1;
                 return Some(id);
@@ -597,13 +619,15 @@ impl FleetDriver {
             self.join,
             &mut self.topology_rng,
         );
-        self.active.push(false); // activated when the join commits
+        self.active.push_inactive(); // activated when the join commits
         self.depart_at.push(at + session);
         Some(id)
     }
 
-    /// Starts round `self.round()`: returns the active membership and every
-    /// membership event expected within `horizon_s` seconds, round-relative.
+    /// Starts round `self.round()`: returns the active membership's size and
+    /// every membership event expected within `horizon_s` seconds,
+    /// round-relative. Costs O(events · log world), independent of the
+    /// number of agents that neither arrive nor depart.
     ///
     /// The horizon is a *planning* window, typically a generous multiple of
     /// the previous round's duration: events inside it become mid-round
@@ -620,21 +644,16 @@ impl FleetDriver {
         self.in_round = true;
         let window_end = self.clock_s + horizon_s;
 
-        let participants: Vec<AgentId> =
-            (0..self.world.num_agents()).filter(|&i| self.active[i]).map(AgentId).collect();
-
         let mut events: Vec<MembershipEvent> = Vec::new();
         // Departures of active agents inside the window.
-        for &id in &participants {
-            let t = self.depart_at[id.0];
-            if t < window_end {
-                events.push(MembershipEvent {
-                    agent: id,
-                    at_s: (t - self.clock_s).max(0.0),
-                    kind: MembershipChange::Leave,
-                });
-            }
-        }
+        let clock = self.clock_s;
+        self.departures.for_each_before(window_end, |d| {
+            events.push(MembershipEvent {
+                agent: AgentId(d.id as usize),
+                at_s: (d.at - clock).max(0.0),
+                kind: MembershipChange::Leave,
+            });
+        });
         // Joins admitted by an earlier (overshooting) horizon whose arrival
         // time has still not passed, plus fresh arrivals inside the window.
         for &(id, t) in &self.pending_joins {
@@ -660,13 +679,13 @@ impl FleetDriver {
                 });
             }
         }
-        events.sort_by(|a, b| {
-            a.at_s
-                .partial_cmp(&b.at_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.agent.cmp(&b.agent))
-        });
-        FleetRoundPlan { round: self.round, participants, events }
+        // Ascending `(at_s, agent)`. An agent joins or leaves at most once
+        // per plan, so the keys are unique and an unstable sort's order is
+        // fully determined. `at_s` is never negative or NaN, so its bits
+        // order like its value once both zeros read as +0.
+        events
+            .sort_unstable_by_key(|e| (if e.at_s == 0.0 { 0 } else { e.at_s.to_bits() }, e.agent));
+        FleetRoundPlan { round: self.round, active: self.active.count(), events }
     }
 
     /// Ends the round begun by [`FleetDriver::begin_round`]: advances the
@@ -684,6 +703,7 @@ impl FleetDriver {
         assert!(duration_s >= 0.0, "round duration must be non-negative, got {duration_s}");
         self.in_round = false;
         self.clock_s += duration_s;
+        self.departed.clear();
         // Joins first (an agent can arrive and depart within one round).
         let clock = self.clock_s;
         let mut arrived: Vec<AgentId> = Vec::new();
@@ -696,57 +716,59 @@ impl FleetDriver {
             }
         });
         for id in arrived {
-            self.active[id.0] = true;
+            self.activate(id.0);
             self.arrivals_total += 1;
         }
-        // Departures due this round, sorted by time: one O(world) scan,
-        // then a cursor interleaves them with the boundary arrivals so a
-        // recycled slot becomes available in absolute-time order (an
-        // arrival can reuse the slot of a session that ended earlier in
-        // the same boundary commit) without rescanning the world per
-        // arrival — `fedavg_barrier` commits hundreds of arrivals per
-        // 10k-agent boundary.
-        let mut due: Vec<(f64, usize)> = (0..self.world.num_agents())
-            .filter(|&i| self.active[i] && self.depart_at[i] <= clock)
-            .map(|i| (self.depart_at[i], i))
-            .collect();
-        due.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let mut cursor = 0usize;
+        // Due departures pop from the index in `(depart_at, id)` order,
+        // interleaved with the boundary arrivals so a recycled slot becomes
+        // available in absolute-time order (an arrival can reuse the slot
+        // of a session that ended earlier in the same boundary commit).
+        // Boundary arrivals stay out of the index until the end of the
+        // commit: the due set is the one fixed when the commit began.
+        let mut boundary: Vec<usize> = Vec::new();
         while let Some(t) = self.peek_next_arrival() {
-            if t > self.clock_s {
+            if t > clock {
                 break;
             }
             self.next_arrival_s = None;
-            while cursor < due.len() && due[cursor].0 <= t {
-                self.commit_departure(due[cursor].1);
-                cursor += 1;
+            while let Some(d) = self.departures.pop_due(t) {
+                self.commit_departure(d.id as usize);
             }
             if let Some(id) = self.admit_arrival(t) {
-                self.active[id.0] = true;
+                self.active.insert(id.0);
                 self.arrivals_total += 1;
+                boundary.push(id.0);
             }
         }
-        while cursor < due.len() {
-            self.commit_departure(due[cursor].1);
-            cursor += 1;
+        while let Some(d) = self.departures.pop_due(clock) {
+            self.commit_departure(d.id as usize);
         }
-        // Boundary arrivals admitted above may themselves have sessions
-        // ending inside this round; their departures commit here (their
+        // Boundary arrivals may themselves have sessions ending inside this
+        // round; their departures commit here, in ascending id order (their
         // slots become reusable from the next boundary on).
-        for i in 0..self.world.num_agents() {
-            if self.active[i] && self.depart_at[i] <= clock {
+        boundary.sort_unstable();
+        for i in boundary {
+            if self.depart_at[i] <= clock {
                 self.commit_departure(i);
+            } else {
+                self.departures.push(i, self.depart_at[i]);
             }
         }
         self.round += 1;
-        self.peak_active = self.peak_active.max(self.active_count());
+        self.peak_active = self.peak_active.max(self.active.count());
+    }
+
+    /// Activates slot `i` and indexes its departure.
+    fn activate(&mut self, i: usize) {
+        self.active.insert(i);
+        self.departures.push(i, self.depart_at[i]);
     }
 
     /// Deactivates one active agent, freeing its slot for reuse when
     /// recycling is on.
     fn commit_departure(&mut self, i: usize) {
-        debug_assert!(self.active[i]);
-        self.active[i] = false;
+        self.active.remove(i);
+        self.departed.push(AgentId(i));
         self.departures_total += 1;
         if self.cfg.recycle_slots {
             self.free_slots.push_back(AgentId(i));
@@ -770,7 +792,7 @@ mod tests {
         let mut f = FleetConfig::new(8, 1).build();
         for _ in 0..5 {
             let plan = f.begin_round(100.0);
-            assert_eq!(plan.participants.len(), 8);
+            assert_eq!(plan.active, 8);
             assert!(plan.events.is_empty());
             f.end_round(100.0);
         }
@@ -807,7 +829,7 @@ mod tests {
             let mut log = Vec::new();
             for _ in 0..25 {
                 let plan = f.begin_round(120.0);
-                log.push((plan.participants.len(), plan.events.len()));
+                log.push((plan.active, plan.events.len()));
                 f.end_round(120.0);
             }
             (log, f.arrivals_total(), f.departures_total())
@@ -847,7 +869,7 @@ mod tests {
         f.end_round(100.0);
         assert_eq!(f.active_count(), 4);
         let p1 = f.begin_round(100.0);
-        assert_eq!(p1.participants.len(), 4);
+        assert_eq!(p1.active, 4);
         assert_eq!(p1.events.len(), 1);
         assert!((p1.events[0].at_s - 50.0).abs() < 1e-9);
         f.end_round(100.0);
@@ -1077,13 +1099,13 @@ mod tests {
     fn joined_agents_participate_from_the_next_round() {
         let mut f = FleetConfig::new(3, 21).arrivals(ArrivalProcess::Trace(vec![5.0])).build();
         let p0 = f.begin_round(10.0);
-        assert_eq!(p0.participants.len(), 3, "joiner is not yet a participant");
+        assert_eq!(p0.active, 3, "joiner is not yet a participant");
         let join = p0.events[0];
         assert!(!f.is_active(join.agent), "inactive until the round commits");
         f.end_round(10.0);
         assert!(f.is_active(join.agent));
-        let p1 = f.begin_round(10.0);
-        assert!(p1.participants.contains(&join.agent));
+        let _ = f.begin_round(10.0);
+        assert!(f.active_ids().contains(&join.agent));
         f.end_round(10.0);
     }
 }

@@ -44,11 +44,12 @@ mod driver;
 mod events;
 mod fleet;
 mod hostile;
+mod membership;
 mod profile;
 mod topology;
 mod world;
 
-pub use agent::{AgentId, AgentState};
+pub use agent::{AgentId, AgentIdHasher, AgentMap, AgentState};
 pub use dist::{DistSampler, DistributionConfig, DIST_SAMPLE_FLOOR};
 pub use driver::{AgentTimeline, SimDriver, SimEvent};
 pub use events::{BucketStats, EventQueue};

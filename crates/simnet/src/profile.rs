@@ -66,23 +66,37 @@ impl AgentProfile {
 /// When `k` is not a multiple of the grid size the remainder is sampled
 /// uniformly.
 pub fn assign_profiles<R: Rng>(k: usize, rng: &mut R) -> Vec<AgentProfile> {
+    // Every value is a grid point, so the shuffles permute one-byte grid
+    // indices instead of profiles: the same draws make the same moves over
+    // a buffer an eighth (CPUs, links) or a sixteenth (profiles) the size.
     let per_cell = k / CPU_PROFILES.len();
-    let mut cpus: Vec<f64> =
-        CPU_PROFILES.iter().flat_map(|&c| std::iter::repeat_n(c, per_cell)).collect();
+    let mut cpus: Vec<u8> =
+        (0..CPU_PROFILES.len() as u8).flat_map(|c| std::iter::repeat_n(c, per_cell)).collect();
     // Links cycle through the grid and are shuffled *independently* of the
     // CPU tiers, so compute and communication heterogeneity are uncorrelated
     // (the paper assigns agents to CPU × link combinations randomly).
-    let mut links: Vec<f64> =
-        (0..cpus.len()).map(|i| LINK_PROFILES_MBPS[i % LINK_PROFILES_MBPS.len()]).collect();
+    let mut links: Vec<u8> =
+        (0..cpus.len()).map(|i| (i % LINK_PROFILES_MBPS.len()) as u8).collect();
     cpus.shuffle(rng);
     links.shuffle(rng);
-    let mut out: Vec<AgentProfile> =
-        cpus.into_iter().zip(links).map(|(c, l)| AgentProfile::new(c, l)).collect();
-    while out.len() < k {
-        out.push(AgentProfile::sample(rng));
+    let grid_index = |grid: &[f64], v: f64| grid.iter().position(|&g| g == v).expect("grid value");
+    let links_per_cpu = LINK_PROFILES_MBPS.len() as u8;
+    let mut cells: Vec<u8> =
+        cpus.into_iter().zip(links).map(|(c, l)| c * links_per_cpu + l).collect();
+    while cells.len() < k {
+        let p = AgentProfile::sample(rng);
+        let (c, l) =
+            (grid_index(&CPU_PROFILES, p.cpus), grid_index(&LINK_PROFILES_MBPS, p.link_mbps));
+        cells.push(c as u8 * links_per_cpu + l as u8);
     }
-    out.shuffle(rng);
-    out
+    cells.shuffle(rng);
+    cells
+        .into_iter()
+        .map(|cell| {
+            let (c, l) = (cell / links_per_cpu, cell % links_per_cpu);
+            AgentProfile::new(CPU_PROFILES[c as usize], LINK_PROFILES_MBPS[l as usize])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -105,6 +119,36 @@ mod tests {
         for &c in &CPU_PROFILES {
             let n = profiles.iter().filter(|p| p.cpus == c).count();
             assert_eq!(n, 2, "cpu tier {c} should appear twice in 10 agents");
+        }
+    }
+
+    #[test]
+    fn index_shuffles_reproduce_the_profile_shuffles() {
+        // The assignment as it shuffled whole values, before the shuffles
+        // moved to one-byte grid indices.
+        fn by_value(k: usize, rng: &mut StdRng) -> Vec<AgentProfile> {
+            let per_cell = k / CPU_PROFILES.len();
+            let mut cpus: Vec<f64> =
+                CPU_PROFILES.iter().flat_map(|&c| std::iter::repeat_n(c, per_cell)).collect();
+            let mut links: Vec<f64> =
+                (0..cpus.len()).map(|i| LINK_PROFILES_MBPS[i % LINK_PROFILES_MBPS.len()]).collect();
+            cpus.shuffle(rng);
+            links.shuffle(rng);
+            let mut out: Vec<AgentProfile> =
+                cpus.into_iter().zip(links).map(|(c, l)| AgentProfile::new(c, l)).collect();
+            while out.len() < k {
+                out.push(AgentProfile::sample(rng));
+            }
+            out.shuffle(rng);
+            out
+        }
+        for k in [1, 4, 5, 7, 23, 1_000, 1_003] {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut oracle_rng = rng.clone();
+                assert_eq!(assign_profiles(k, &mut rng), by_value(k, &mut oracle_rng), "k {k}");
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "same draws (k {k})");
+            }
         }
     }
 

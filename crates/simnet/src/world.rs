@@ -437,16 +437,40 @@ impl World {
     /// Draws from a dedicated RNG stream: toggling sampling on or off does
     /// not change which profiles churn re-rolls, and vice versa.
     pub fn sample_participants_among(&mut self, candidates: &[AgentId], rate: f64) -> Vec<AgentId> {
-        let k = candidates.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let n = ((k as f64 * rate).round() as usize).clamp(1, k);
-        let mut ids: Vec<AgentId> = candidates.to_vec();
-        ids.shuffle(&mut self.participation_rng);
-        ids.truncate(n);
+        let mut positions = Vec::new();
+        self.sample_positions(candidates.len(), rate, &mut positions);
+        let mut ids: Vec<AgentId> = positions.iter().map(|&p| candidates[p as usize]).collect();
         ids.sort();
         ids
+    }
+
+    /// The sampler behind [`World::sample_participants_among`], on
+    /// positions: leaves in `positions` (a reused buffer) the ascending
+    /// positions `0..k` of the sampled candidates. Shuffling positions
+    /// instead of ids makes the same RNG calls and the same permutation of
+    /// the first `n` slots, so mapping them to candidates reproduces the
+    /// id-level shuffle exactly.
+    pub(crate) fn sample_positions(&mut self, k: usize, rate: f64, positions: &mut Vec<u32>) {
+        positions.clear();
+        if k == 0 {
+            return;
+        }
+        let n = ((k as f64 * rate).round() as usize).clamp(1, k);
+        positions.extend(0..u32::try_from(k).expect("at most u32::MAX sampling candidates"));
+        // Fisher–Yates drawn exactly as `SliceRandom::shuffle` draws it (j
+        // uniform in 0..=i, from the top down). A position at or past `n`
+        // is final once drawn and never read again, so only its partner
+        // takes the write — one random store per step instead of a swap.
+        for i in (1..k).rev() {
+            let j = self.participation_rng.gen_range(0..=i);
+            if i >= n {
+                positions[j] = positions[i];
+            } else {
+                positions.swap(i, j);
+            }
+        }
+        positions.truncate(n);
+        positions.sort_unstable();
     }
 
     /// The slowest agent's solo round time given per-batch seconds computed
@@ -522,6 +546,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn build_splits_samples_exactly() {
@@ -619,6 +644,50 @@ mod tests {
             plain.sample_participants_among(&ids, 0.3),
             churned.sample_participants_among(&ids, 0.3)
         );
+    }
+
+    /// The id-level sampler the position sampler replaced: clone the
+    /// candidates, Fisher–Yates the clone, truncate, sort.
+    fn oracle_sample(rng: &mut StdRng, candidates: &[AgentId], rate: f64) -> Vec<AgentId> {
+        let k = candidates.len();
+        if k == 0 {
+            return Vec::new();
+        }
+        let n = ((k as f64 * rate).round() as usize).clamp(1, k);
+        let mut ids = candidates.to_vec();
+        ids.shuffle(rng);
+        ids.truncate(n);
+        ids.sort();
+        ids
+    }
+
+    proptest! {
+        /// The position sampler returns the oracle's ids round after round
+        /// and leaves the participation stream exactly where the oracle
+        /// leaves it.
+        #[test]
+        fn position_sampler_matches_the_id_shuffle_oracle(
+            k in 1usize..=5_000,
+            rate in (0u8..4, 0.0f64..1.0).prop_map(|(pick, r)| match pick {
+                0 => 1e-9,
+                1 => 0.01,
+                2 => 1.0,
+                _ => r,
+            }),
+            seed in 0u64..u64::MAX,
+            gap in 1usize..4,
+        ) {
+            let mut world = WorldConfig::heterogeneous(2, seed).build();
+            let mut oracle_rng = world.participation_rng.clone();
+            // Ascending candidates with holes, like an active set.
+            let candidates: Vec<AgentId> = (0..k).map(|i| AgentId(i * (gap + 2) + i % 3)).collect();
+            for _ in 0..3 {
+                let got = world.sample_participants_among(&candidates, rate);
+                let want = oracle_sample(&mut oracle_rng, &candidates, rate);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert_eq!(world.participation_rng.gen::<u64>(), oracle_rng.gen::<u64>());
+        }
     }
 
     #[test]

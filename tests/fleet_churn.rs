@@ -9,15 +9,15 @@
 //! * the staleness-weighted `rounds_factor` is monotone in staleness and
 //!   separates the aggregation modes.
 
-use std::collections::HashMap;
-
 use comdml::collective::AllReduceAlgorithm;
 use comdml::core::{
     staleness_weight, AggregationMode, ComDmlConfig, EventGranularity, EventRound, FleetSim,
     LearningCurve, LearningModel, PairingScheduler, RoundEngine, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::{AgentId, ArrivalProcess, FleetConfig, SessionLifetime, WorldConfig};
+use comdml::simnet::{
+    AgentId, AgentMap, ArrivalProcess, FleetConfig, SessionLifetime, WorldConfig,
+};
 use proptest::prelude::*;
 
 fn fleet(k: usize, seed: u64, rate: f64, mean_session: f64) -> FleetConfig {
@@ -233,7 +233,7 @@ proptest! {
         );
         for _ in 0..10 {
             sim.step();
-            let carry: &HashMap<AgentId, f64> = sim.carry_over();
+            let carry: &AgentMap<f64> = sim.carry_over();
             for (&id, &head_start) in carry {
                 prop_assert!(sim.fleet().is_active(id), "orphaned carry-over for {id}");
                 prop_assert!(head_start > 0.0 && head_start.is_finite());
