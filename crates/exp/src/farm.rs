@@ -22,11 +22,23 @@
 //!   once, and a reaper thread requeues slices whose worker stopped
 //!   heartbeating. Folding ignores rows for slots already filled, so
 //!   duplicate execution after a requeue is harmless.
+//! * A `WorkRequest` that finds nothing queued is **parked**: its session
+//!   waits on a condition variable that every submit, requeue and stop
+//!   notifies, so an idle worker starts a new sweep the moment it lands.
+//!   The wait is bounded by half the worker timeout; when it runs out the
+//!   worker is told `NoWork { retry_ms: 0 }` and asks again at once.
 //! * [`fetch`] reassembles the finished sweep client-side via
 //!   [`JobResult::from_value`] + [`SweepReport::assemble`], so the farm's
 //!   `BENCH_sweep_*.json` is **byte-identical** to a single-process run
 //!   whatever the worker count, slice size, worker deaths or coordinator
 //!   restarts along the way (proven by the tests in `tests/farm.rs`).
+//!   [`submit`], [`status`] and [`fetch`] reuse one connection per thread
+//!   and coordinator address; a cached connection whose peer has closed
+//!   is replaced before the request goes out, and no request is retried.
+//! * A fetched sweep stays resident until 8 newer sweeps have been
+//!   fetched, then the coordinator releases it; asking for it
+//!   afterwards answers "fetched and released". Sweeps nobody has fetched
+//!   are never released.
 //!
 //! # Journal
 //!
@@ -38,7 +50,8 @@
 //! submit and fold code, so a coordinator restarted after a crash keeps its
 //! sweep ids and queues only the jobs with no journaled row. A line that does not parse or fold — a
 //! torn last line included — is skipped with a warning and its job is
-//! recomputed, which is safe because jobs are pure.
+//! recomputed, which is safe because jobs are pure. Releases are not
+//! journaled, so a restarted coordinator serves every journaled sweep again.
 //!
 //! Jobs are pure functions of `(scenario, method, seed)`; determinism
 //! needs no coordination beyond putting each row in its pre-assigned slot.
@@ -46,24 +59,33 @@
 //! [`comdml_bench::Value`] renders floats in shortest round-trip form, so
 //! `parse ∘ render` is the identity and the text *is* the value.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use comdml_bench::Value;
-use comdml_net::{serve, FramedStream, Message, ServerHandle, WorkerRow, PROTOCOL_VERSION};
+use comdml_net::{
+    serve, FramedStream, Message, NetError, ServerHandle, WorkerRow, PROTOCOL_VERSION,
+};
 use comdml_obs::Histogram;
 
 use crate::{JobResult, JobSource, JobSpec, SweepReport, SweepRunner, SweepSpec};
 
 /// The farm's default coordinator endpoint.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7700";
+
+/// Fetched sweeps the coordinator keeps resident: fetching one more
+/// releases the oldest-fetched. Unfetched sweeps are never released.
+const RETAIN_FETCHED: usize = 8;
 
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
@@ -72,12 +94,10 @@ pub struct FarmConfig {
     /// balance / maximum chatter extreme.
     pub slice_size: usize,
     /// How long a slice may go without any sign of life from its worker
-    /// (heartbeat, row, or grant) before the reaper requeues it.
+    /// (heartbeat, row, or grant) before the reaper requeues it. The
+    /// reaper scans every quarter of it, and a parked work request waits
+    /// at most half of it.
     pub worker_timeout: Duration,
-    /// How often the reaper scans for timed-out slices.
-    pub reaper_tick: Duration,
-    /// Poll interval suggested to idle workers via `NoWork`.
-    pub retry_ms: u32,
     /// Suppresses the coordinator's stderr event log.
     pub quiet: bool,
     /// Append-only JSONL journal of accepted submits and folded rows (see
@@ -88,14 +108,7 @@ pub struct FarmConfig {
 
 impl Default for FarmConfig {
     fn default() -> Self {
-        Self {
-            slice_size: 4,
-            worker_timeout: Duration::from_secs(10),
-            reaper_tick: Duration::from_millis(200),
-            retry_ms: 200,
-            quiet: false,
-            journal: None,
-        }
+        Self { slice_size: 4, worker_timeout: Duration::from_secs(10), quiet: false, journal: None }
     }
 }
 
@@ -131,6 +144,8 @@ struct SweepState {
     submitted: Instant,
     /// Elapsed seconds frozen at the moment the last slot filled.
     finished_in_s: Option<f64>,
+    /// A complete report has been fetched, so the sweep may be released.
+    fetched: bool,
 }
 
 impl SweepState {
@@ -198,6 +213,16 @@ struct FarmState {
     skipped_unknown: u64,
     /// The open journal; `None` while replaying and when journaling is off.
     journal: Option<File>,
+    /// Resident fetched sweeps, oldest fetch first (at most
+    /// [`RETAIN_FETCHED`]).
+    fetched: VecDeque<u64>,
+    /// Ids below `next_sweep_id` that a journal replay skipped over, so they
+    /// name no sweep rather than a released one.
+    never_submitted: Vec<Range<u64>>,
+    /// Sockets of the sessions that are not workers, closed at stop so a
+    /// client's cached connection cannot outlive the coordinator.
+    clients: HashMap<u64, TcpStream>,
+    next_client_id: u64,
     next_sweep_id: u64,
     next_slice_id: u64,
     next_worker_id: u64,
@@ -235,6 +260,10 @@ impl FarmState {
             workers: HashMap::new(),
             skipped_unknown: 0,
             journal: None,
+            fetched: VecDeque::new(),
+            never_submitted: Vec::new(),
+            clients: HashMap::new(),
+            next_client_id: 1,
             next_sweep_id: 1,
             next_slice_id: 1,
             next_worker_id: 1,
@@ -304,6 +333,9 @@ impl FarmState {
             if sweep_id < self.next_sweep_id {
                 return Err(format!("sweep {sweep_id} was already submitted"));
             }
+            if sweep_id > self.next_sweep_id {
+                self.never_submitted.push(self.next_sweep_id..sweep_id);
+            }
             self.next_sweep_id = sweep_id;
             return self.submit(&spec.render()).map(drop);
         }
@@ -354,6 +386,7 @@ impl FarmState {
                 timed_out_slices: 0,
                 submitted: Instant::now(),
                 finished_in_s: None,
+                fetched: false,
             },
         );
         Ok((id, total as u64))
@@ -481,19 +514,22 @@ impl FarmState {
     }
 
     /// Retires a slice the worker reports fully sent. Any index still
-    /// empty (a row lost or malformed en route) goes back on the queue.
-    fn slice_done(&mut self, sweep_id: u64, slice_id: u64) {
+    /// empty (a row lost or malformed en route) goes back on the queue;
+    /// returns how many.
+    fn slice_done(&mut self, sweep_id: u64, slice_id: u64) -> usize {
         let Some(sweep) = self.sweeps.get_mut(&sweep_id) else {
-            return;
+            return 0;
         };
-        if let Some(info) = sweep.in_flight.remove(&slice_id) {
-            let n = sweep.requeue(info);
-            if n > 0 {
-                self.log(format_args!(
-                    "sweep {sweep_id}: slice {slice_id} retired with {n} missing rows — requeued"
-                ));
-            }
+        let Some(info) = sweep.in_flight.remove(&slice_id) else {
+            return 0;
+        };
+        let n = sweep.requeue(info);
+        if n > 0 {
+            self.log(format_args!(
+                "sweep {sweep_id}: slice {slice_id} retired with {n} missing rows — requeued"
+            ));
         }
+        n
     }
 
     /// A live worker refreshes every slice it holds.
@@ -536,8 +572,9 @@ impl FarmState {
     }
 
     /// Heartbeat-timeout path: requeues slices nobody has touched within
-    /// the timeout (worker hung, wedged, or silently partitioned).
-    fn reap(&mut self) {
+    /// the timeout (worker hung, wedged, or silently partitioned). Returns
+    /// whether anything went back on a queue.
+    fn reap(&mut self) -> bool {
         let timeout = self.cfg.worker_timeout;
         let mut requeues: Vec<(u64, u64, u64, usize)> = Vec::new();
         for (&sweep_id, sweep) in self.sweeps.iter_mut() {
@@ -558,16 +595,27 @@ impl FarmState {
                 }
             }
         }
-        for (sweep_id, slice_id, worker, n) in requeues {
+        for &(sweep_id, slice_id, worker, n) in &requeues {
             self.log(format_args!(
                 "sweep {sweep_id}: slice {slice_id} timed out on worker {worker} — requeued {n} jobs"
             ));
         }
+        !requeues.is_empty()
+    }
+
+    /// Why `sweep_id` names no resident sweep.
+    fn missing(&self, sweep_id: u64) -> String {
+        let issued = (1..self.next_sweep_id).contains(&sweep_id)
+            && !self.never_submitted.iter().any(|r| r.contains(&sweep_id));
+        if issued {
+            format!("sweep {sweep_id} was fetched and released")
+        } else {
+            format!("unknown sweep {sweep_id}")
+        }
     }
 
     fn status_message(&self, sweep_id: u64) -> Result<Message, String> {
-        let sweep =
-            self.sweeps.get(&sweep_id).ok_or_else(|| format!("unknown sweep {sweep_id}"))?;
+        let sweep = self.sweeps.get(&sweep_id).ok_or_else(|| self.missing(sweep_id))?;
         let total = sweep.total();
         let done = sweep.done;
         let complete = sweep.complete();
@@ -620,9 +668,12 @@ impl FarmState {
         Message::StatusDetail { sweep_id, rows }
     }
 
-    fn fetch_message(&self, sweep_id: u64) -> Result<Message, String> {
-        let sweep =
-            self.sweeps.get(&sweep_id).ok_or_else(|| format!("unknown sweep {sweep_id}"))?;
+    /// The fetch reply for `sweep_id`. The first complete fetch marks the
+    /// sweep fetched, which releases the oldest-fetched sweep once more
+    /// than [`RETAIN_FETCHED`] are resident.
+    fn fetch_message(&mut self, sweep_id: u64) -> Result<Message, String> {
+        let missing = self.missing(sweep_id);
+        let sweep = self.sweeps.get_mut(&sweep_id).ok_or(missing)?;
         if !sweep.complete() {
             return Ok(Message::FetchReport {
                 sweep_id,
@@ -635,28 +686,60 @@ impl FarmState {
         let rows = Value::Arr(
             sweep.slots.iter().map(|s| s.as_ref().expect("complete sweep").to_value()).collect(),
         );
-        Ok(Message::FetchReport {
+        let report = Message::FetchReport {
             sweep_id,
             complete: true,
             spec_json: sweep.spec_json.clone(),
             rows_json: rows.render(),
-        })
+        };
+        if !std::mem::replace(&mut sweep.fetched, true) {
+            self.fetched.push_back(sweep_id);
+            if self.fetched.len() > RETAIN_FETCHED {
+                if let Some(released) = self.fetched.pop_front() {
+                    self.sweeps.remove(&released);
+                    self.log(format_args!("sweep {released} released"));
+                }
+            }
+        }
+        Ok(report)
+    }
+}
+
+/// The coordinator's shared core: the state behind its one lock, and the
+/// condition variable that parked work requests and the reaper wait on.
+#[derive(Debug)]
+struct Farm {
+    state: Mutex<FarmState>,
+    /// Notified, under the state lock, whenever a slice may have become
+    /// grantable (a submit or a requeue) and at stop.
+    wake: Condvar,
+}
+
+impl Farm {
+    fn lock(&self) -> MutexGuard<'_, FarmState> {
+        self.state.lock().expect("farm state lock never poisoned")
+    }
+
+    /// Waits on [`Farm::wake`] for at most `timeout`.
+    fn wait<'a>(
+        &self,
+        st: MutexGuard<'a, FarmState>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, FarmState> {
+        self.wake.wait_timeout(st, timeout).expect("farm state lock never poisoned").0
     }
 }
 
 /// A running farm coordinator: the TCP service plus the reaper thread.
 ///
 /// Dropping (or [`Coordinator::shutdown`]) stops the accept loop and the
-/// reaper; workers see `Shutdown` on their next `WorkRequest` and drain
-/// politely.
+/// reaper; workers see `Shutdown` on their next (or parked) `WorkRequest`
+/// and drain politely, and client connections are closed.
 #[derive(Debug)]
 pub struct Coordinator {
     handle: ServerHandle,
+    farm: Arc<Farm>,
     reaper: Option<JoinHandle<()>>,
-}
-
-fn lock(state: &Mutex<FarmState>) -> MutexGuard<'_, FarmState> {
-    state.lock().expect("farm state lock never poisoned")
 }
 
 impl Coordinator {
@@ -667,24 +750,33 @@ impl Coordinator {
     ///
     /// Propagates journal I/O and bind failures.
     pub fn bind(addr: &str, cfg: FarmConfig) -> std::io::Result<Self> {
-        let reaper_tick = cfg.reaper_tick;
-        let mut farm = FarmState::new(cfg);
-        if let Some(path) = farm.cfg.journal.clone() {
-            farm.open_journal(&path)?;
+        let period = (cfg.worker_timeout / 4).max(Duration::from_millis(1));
+        let mut state = FarmState::new(cfg);
+        if let Some(path) = state.cfg.journal.clone() {
+            state.open_journal(&path)?;
         }
-        let state = Arc::new(Mutex::new(farm));
-        let session_state = Arc::clone(&state);
+        let farm = Arc::new(Farm { state: Mutex::new(state), wake: Condvar::new() });
+        let session_farm = Arc::clone(&farm);
         let handle = serve(addr, move |stream, _peer, stop| {
-            session(&session_state, stream, stop);
+            session(&session_farm, stream, stop);
         })?;
         let stop = handle.stop_flag();
+        let reaper_farm = Arc::clone(&farm);
         let reaper = std::thread::spawn(move || {
+            let mut st = reaper_farm.lock();
+            let mut next = Instant::now() + period;
             while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(reaper_tick);
-                lock(&state).reap();
+                let now = Instant::now();
+                if now >= next {
+                    if st.reap() {
+                        reaper_farm.wake.notify_all();
+                    }
+                    next = now + period;
+                }
+                st = reaper_farm.wait(st, next.saturating_duration_since(now));
             }
         });
-        Ok(Self { handle, reaper: Some(reaper) })
+        Ok(Self { handle, farm, reaper: Some(reaper) })
     }
 
     /// The bound address.
@@ -692,35 +784,76 @@ impl Coordinator {
         self.handle.local_addr()
     }
 
-    /// Signals shutdown without waiting.
+    /// Signals shutdown without waiting: sets the stop flag, then, under
+    /// the state lock (so no parked request misses it), wakes every parked
+    /// request and the reaper, and closes every client connection.
     pub fn stop(&self) {
         self.handle.stop();
+        let mut st = self.farm.lock();
+        self.farm.wake.notify_all();
+        for (_, client) in st.clients.drain() {
+            let _ = client.shutdown(Shutdown::Both);
+        }
     }
 
     /// Stops and joins the service threads.
-    pub fn shutdown(mut self) {
-        self.handle.stop();
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Coordinator {
+    fn drop(&mut self) {
+        self.stop();
         if let Some(t) = self.reaper.take() {
             let _ = t.join();
         }
     }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.handle.stop();
-        if let Some(t) = self.reaper.take() {
-            let _ = t.join();
+/// Answers a `WorkRequest`: a slice if one is queued; otherwise the
+/// request parks until a submit, requeue or stop wakes it, for at most half
+/// the worker timeout, after which the worker is told to ask again at once.
+fn work_reply(farm: &Farm, worker_id: u64, stop: &AtomicBool) -> Message {
+    let mut st = farm.lock();
+    let deadline = Instant::now() + st.cfg.worker_timeout / 2;
+    loop {
+        // Checked under the lock `Coordinator::stop` notifies under, so a
+        // stop can never fall between this check and the wait.
+        if stop.load(Ordering::SeqCst) {
+            return Message::Shutdown;
         }
+        if let Some(slice) = st.grant(worker_id) {
+            return slice;
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Message::NoWork { retry_ms: 0 };
+        }
+        st = farm.wait(st, deadline - now);
     }
 }
 
 /// One connection's session loop: pure request/response, with the
 /// fire-and-forget worker messages (`JobDone`, `SliceDone`, `Heartbeat`)
 /// folded in between. The state lock is never held across a send.
-fn session(state: &Arc<Mutex<FarmState>>, mut stream: FramedStream, stop: &AtomicBool) {
+fn session(farm: &Farm, mut stream: FramedStream, stop: &AtomicBool) {
     let Ok(proto) = stream.handshake() else {
         return;
+    };
+    // Until it says `WorkerHello`, the peer is a client, hung up on at stop.
+    let client_id = {
+        let mut st = farm.lock();
+        let Ok(sock) = stream.get_ref().try_clone() else {
+            return;
+        };
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let id = st.next_client_id;
+        st.next_client_id += 1;
+        st.clients.insert(id, sock);
+        id
     };
     let mut worker_id: Option<u64> = None;
     let mut skipped_folded = 0u64;
@@ -730,19 +863,23 @@ fn session(state: &Arc<Mutex<FarmState>>, mut stream: FramedStream, stop: &Atomi
         // (delta since last fold, so the total is exact across sessions).
         let skipped = stream.skipped_unknown();
         if skipped > skipped_folded {
-            lock(state).skipped_unknown += skipped - skipped_folded;
+            farm.lock().skipped_unknown += skipped - skipped_folded;
             skipped_folded = skipped;
         }
         let mut replies: Vec<Message> = Vec::new();
         match msg {
             Message::SubmitSweep { spec_json } => {
-                replies.push(match lock(state).submit(&spec_json) {
-                    Ok((sweep_id, total_jobs)) => Message::SweepQueued { sweep_id, total_jobs },
+                let mut st = farm.lock();
+                replies.push(match st.submit(&spec_json) {
+                    Ok((sweep_id, total_jobs)) => {
+                        farm.wake.notify_all();
+                        Message::SweepQueued { sweep_id, total_jobs }
+                    }
                     Err(detail) => Message::FarmError { detail },
                 })
             }
             Message::StatusRequest { sweep_id } => {
-                let st = lock(state);
+                let st = farm.lock();
                 match st.status_message(sweep_id) {
                     Ok(report) => {
                         replies.push(report);
@@ -757,35 +894,33 @@ fn session(state: &Arc<Mutex<FarmState>>, mut stream: FramedStream, stop: &Atomi
                 }
             }
             Message::FetchRequest { sweep_id } => replies.push(
-                lock(state)
+                farm.lock()
                     .fetch_message(sweep_id)
                     .unwrap_or_else(|detail| Message::FarmError { detail }),
             ),
             Message::WorkerHello { name, threads } => {
-                let id = lock(state).register_worker(&name, threads);
+                let mut st = farm.lock();
+                // Workers are drained with `Shutdown`, not hung up on.
+                st.clients.remove(&client_id);
+                let id = st.register_worker(&name, threads);
                 worker_id = Some(id);
                 replies.push(Message::WorkerWelcome { worker_id: id });
             }
-            Message::WorkRequest { worker_id } => {
-                if stop.load(Ordering::SeqCst) {
-                    replies.push(Message::Shutdown);
-                } else {
-                    let mut st = lock(state);
-                    let retry_ms = st.cfg.retry_ms;
-                    replies.push(st.grant(worker_id).unwrap_or(Message::NoWork { retry_ms }));
-                }
-            }
+            Message::WorkRequest { worker_id } => replies.push(work_reply(farm, worker_id, stop)),
             Message::JobDone { sweep_id, slice_id, index, row_json } => {
-                lock(state).fold(sweep_id, slice_id, index, &row_json);
+                farm.lock().fold(sweep_id, slice_id, index, &row_json);
             }
             Message::SliceDone { sweep_id, slice_id } => {
-                lock(state).slice_done(sweep_id, slice_id);
+                let mut st = farm.lock();
+                if st.slice_done(sweep_id, slice_id) > 0 {
+                    farm.wake.notify_all();
+                }
             }
             Message::Heartbeat { worker_id } => {
-                lock(state).heartbeat(worker_id);
+                farm.lock().heartbeat(worker_id);
             }
             msg @ Message::WorkerMetrics { .. } => {
-                lock(state).worker_metrics(&msg);
+                farm.lock().worker_metrics(&msg);
             }
             Message::Shutdown => break,
             other => replies
@@ -797,8 +932,11 @@ fn session(state: &Arc<Mutex<FarmState>>, mut stream: FramedStream, stop: &Atomi
             }
         }
     }
+    let mut st = farm.lock();
+    st.clients.remove(&client_id);
     if let Some(id) = worker_id {
-        lock(state).worker_gone(id);
+        st.worker_gone(id);
+        farm.wake.notify_all();
     }
 }
 
@@ -909,18 +1047,14 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
     };
 
     let telemetry = Arc::new(WorkerTelemetry::default());
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // Dropping `hb_stop` ends the heartbeat thread's wait at once.
+    let (hb_stop, hb_stopped) = mpsc::channel::<()>();
     let hb_thread = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&hb_stop);
         let telemetry = Arc::clone(&telemetry);
         let interval = opts.heartbeat;
         std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = hb_stopped.recv_timeout(interval) {
                 let mut w = writer.lock().expect("worker writer lock never poisoned");
                 if w.send(&Message::Heartbeat { worker_id }).is_err() {
                     break;
@@ -936,8 +1070,8 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
     };
 
     let runner = SweepRunner::new().progress(false).threads(threads);
-    // Parsed specs cached per sweep so a thousand slices don't re-parse.
-    let mut specs: HashMap<u64, Arc<SweepSpec>> = HashMap::new();
+    // The current sweep's parsed spec, so a thousand slices don't re-parse.
+    let mut current: Option<(u64, SweepSpec)> = None;
     let jobs_run = AtomicUsize::new(0);
     let mut slices_run = 0usize;
 
@@ -949,17 +1083,14 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
         telemetry.skipped_unknown.store(reader.skipped_unknown(), Ordering::SeqCst);
         match received {
             Ok(Message::WorkSlice { sweep_id, slice_id, spec_json, indices }) => {
-                let spec = match specs.get(&sweep_id) {
-                    Some(spec) => Arc::clone(spec),
-                    None => match SweepSpec::parse(&spec_json) {
-                        Ok(parsed) => {
-                            let spec = Arc::new(parsed);
-                            specs.insert(sweep_id, Arc::clone(&spec));
-                            spec
-                        }
+                let spec = match current.take() {
+                    Some((id, spec)) if id == sweep_id => spec,
+                    _ => match SweepSpec::parse(&spec_json) {
+                        Ok(parsed) => parsed,
                         Err(e) => break Err(format!("bad spec for sweep {sweep_id}: {e}")),
                     },
                 };
+                let spec = &current.insert((sweep_id, spec)).1;
                 let entries: Vec<(usize, JobSpec)> = indices
                     .iter()
                     .filter_map(|&gi| spec.job(gi as usize).map(|job| (gi as usize, job)))
@@ -968,7 +1099,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
                 let source = JobSource::new(entries).with_cancel(Arc::clone(&cancel));
                 let send_error: Mutex<Option<String>> = Mutex::new(None);
                 let slice_start = Instant::now();
-                runner.execute_source(&spec, &source, &|global, row| {
+                runner.execute_source(spec, &source, &|global, row| {
                     let msg = Message::JobDone {
                         sweep_id,
                         slice_id,
@@ -1033,8 +1164,8 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
             Err(e) => break Err(wire_err("coordinator connection lost", e)),
         }
     };
-    hb_stop.store(true, Ordering::SeqCst);
-    let _ = hb_thread.join(); // ≤ one heartbeat interval
+    drop(hb_stop);
+    let _ = hb_thread.join();
     outcome
     // The socket (reader + cloned writer) closes here; a coordinator
     // watching this worker sees the drop immediately.
@@ -1073,17 +1204,42 @@ pub struct FarmStatus {
     pub worker_rows: Vec<WorkerRow>,
 }
 
-fn connect(addr: &str) -> Result<FramedStream, String> {
-    let sock = TcpStream::connect(addr).map_err(|e| wire_err(addr, e))?;
-    let mut stream = FramedStream::new(sock);
-    stream.handshake().map_err(|e| wire_err("handshake", e))?;
-    Ok(stream)
+thread_local! {
+    /// This thread's open coordinator connections for [`submit`],
+    /// [`status`] and [`fetch`], one per address.
+    static CONNECTIONS: RefCell<HashMap<String, FramedStream>> = RefCell::new(HashMap::new());
+}
+
+/// Runs one request/response `exchange` on this thread's connection to
+/// `addr`. A missing connection, or a cached one whose peer has closed, is
+/// replaced by a fresh, handshaken one before anything is sent. A
+/// connection on which the exchange fails is dropped, and the request is
+/// not retried.
+fn with_connection<T>(
+    addr: &str,
+    exchange: impl FnOnce(&mut FramedStream) -> Result<T, NetError>,
+) -> Result<T, String> {
+    let cached = CONNECTIONS.with_borrow_mut(|conns| conns.remove(addr));
+    let mut stream = match cached.filter(|s| !s.peer_closed()) {
+        Some(stream) => stream,
+        None => {
+            let sock = TcpStream::connect(addr).map_err(|e| wire_err(addr, e))?;
+            let mut stream = FramedStream::new(sock);
+            stream.handshake().map_err(|e| wire_err("handshake", e))?;
+            stream
+        }
+    };
+    let out = exchange(&mut stream).map_err(|e| wire_err(addr, e))?;
+    CONNECTIONS.with_borrow_mut(|conns| conns.insert(addr.to_string(), stream));
+    Ok(out)
 }
 
 fn request(addr: &str, msg: &Message) -> Result<Message, String> {
-    let mut stream = connect(addr)?;
-    stream.send(msg).map_err(|e| wire_err("send", e))?;
-    match stream.recv().map_err(|e| wire_err("recv", e))? {
+    let reply = with_connection(addr, |stream| {
+        stream.send(msg)?;
+        stream.recv()
+    })?;
+    match reply {
         Message::FarmError { detail } => Err(detail),
         reply => Ok(reply),
     }
@@ -1110,10 +1266,18 @@ pub fn submit(addr: &str, spec: &SweepSpec) -> Result<(u64, u64), String> {
 ///
 /// Connection failures and unknown sweep ids, described.
 pub fn status(addr: &str, sweep_id: u64) -> Result<FarmStatus, String> {
-    let mut stream = connect(addr)?;
-    let proto = stream.peer_version().unwrap_or(1).min(PROTOCOL_VERSION);
-    stream.send(&Message::StatusRequest { sweep_id }).map_err(|e| wire_err("send", e))?;
-    match stream.recv().map_err(|e| wire_err("recv", e))? {
+    let (report, detail) = with_connection(addr, |stream| {
+        let proto = stream.peer_version().unwrap_or(1).min(PROTOCOL_VERSION);
+        stream.send(&Message::StatusRequest { sweep_id })?;
+        let report = stream.recv()?;
+        // Per-worker rows follow a report when the revision carries them.
+        let detail = match report {
+            Message::StatusReport { .. } if proto >= 2 => Some(stream.recv()?),
+            _ => None,
+        };
+        Ok((report, detail))
+    })?;
+    match report {
         Message::FarmError { detail } => Err(detail),
         Message::StatusReport {
             sweep_id,
@@ -1130,15 +1294,10 @@ pub fn status(addr: &str, sweep_id: u64) -> Result<FarmStatus, String> {
             timed_out_slices,
             skipped_unknown,
         } => {
-            let worker_rows = if proto >= 2 {
-                match stream.recv().map_err(|e| wire_err("recv detail", e))? {
-                    Message::StatusDetail { rows, .. } => rows,
-                    other => {
-                        return Err(format!("expected StatusDetail, got {}", other.name()));
-                    }
-                }
-            } else {
-                Vec::new()
+            let worker_rows = match detail {
+                Some(Message::StatusDetail { rows, .. }) => rows,
+                Some(other) => return Err(format!("expected StatusDetail, got {}", other.name())),
+                None => Vec::new(),
             };
             Ok(FarmStatus {
                 sweep_id,
@@ -1300,6 +1459,92 @@ mod tests {
         assert!(state.sweeps[&id].slots[0].is_none());
         assert!(state.fold(id, 0, 0, &row(0)));
         assert_eq!(state.sweeps[&id].done, 1);
+    }
+
+    /// The rendered rows of `spec`, in global order.
+    fn rows_of(spec: &SweepSpec) -> Vec<String> {
+        SweepRunner::jobs(spec)
+            .iter()
+            .map(|job| {
+                crate::run_job(&spec.scenarios[job.scenario], job.method, job.seed)
+                    .to_value()
+                    .render()
+            })
+            .collect()
+    }
+
+    /// Submits `spec` and folds every row; returns the sweep id.
+    fn complete_sweep(state: &mut FarmState, spec: &SweepSpec, rows: &[String]) -> u64 {
+        let (id, _) = state.submit(&spec.render()).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            assert!(state.fold(id, 0, i as u64, row));
+        }
+        id
+    }
+
+    fn fetched_resident(state: &FarmState) -> usize {
+        state.sweeps.values().filter(|s| s.fetched).count()
+    }
+
+    #[test]
+    fn fetched_sweeps_are_released_and_memory_stays_bounded() {
+        let mut state = FarmState::new(FarmConfig { quiet: true, ..FarmConfig::default() });
+        let spec = tiny_spec();
+        let rows = rows_of(&spec);
+        for cycle in 1..=1000u64 {
+            let id = complete_sweep(&mut state, &spec, &rows);
+            assert_eq!(id, cycle);
+            assert!(matches!(
+                state.fetch_message(id),
+                Ok(Message::FetchReport { complete: true, .. })
+            ));
+            assert!(fetched_resident(&state) <= RETAIN_FETCHED, "cycle {cycle}");
+            assert_eq!(state.sweeps.len(), fetched_resident(&state), "cycle {cycle}");
+        }
+        assert_eq!(state.sweeps.len(), RETAIN_FETCHED);
+        // The newest fetches are still served; the rest say why they are not.
+        assert!(state.fetch_message(1000).is_ok() && state.status_message(993).is_ok());
+        for id in [1, 992] {
+            assert!(state.status_message(id).unwrap_err().contains("fetched and released"));
+            assert!(state.fetch_message(id).unwrap_err().contains("fetched and released"));
+        }
+        for id in [0, 1001, u64::MAX] {
+            assert!(state.status_message(id).unwrap_err().contains("unknown sweep"));
+            assert!(state.fetch_message(id).unwrap_err().contains("unknown sweep"));
+        }
+        // Fetching a resident sweep again does not count as a newer fetch.
+        state.fetch_message(993).unwrap();
+        assert!(state.status_message(993).is_ok());
+    }
+
+    #[test]
+    fn an_unfetched_complete_sweep_is_never_released() {
+        let mut state = FarmState::new(FarmConfig { quiet: true, ..FarmConfig::default() });
+        let spec = tiny_spec();
+        let rows = rows_of(&spec);
+        let kept = complete_sweep(&mut state, &spec, &rows);
+        for _ in 0..3 * RETAIN_FETCHED {
+            let id = complete_sweep(&mut state, &spec, &rows);
+            state.fetch_message(id).unwrap();
+        }
+        let Ok(Message::StatusReport { complete: true, .. }) = state.status_message(kept) else {
+            panic!("the unfetched sweep was released");
+        };
+        assert!(matches!(
+            state.fetch_message(kept),
+            Ok(Message::FetchReport { complete: true, .. })
+        ));
+    }
+
+    #[test]
+    fn ids_a_journal_replay_skipped_are_unknown_not_released() {
+        let mut state = FarmState::new(FarmConfig { quiet: true, ..FarmConfig::default() });
+        let line = format!("{{\"sweep\":3,\"spec\":{}}}", tiny_spec().to_value().render_compact());
+        state.replay(line.as_bytes()).unwrap();
+        for id in [1, 2] {
+            assert!(state.status_message(id).unwrap_err().contains("unknown sweep"));
+        }
+        assert!(state.status_message(3).is_ok());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! * client-facing errors (unknown sweeps, malformed or oversized specs)
 //!   come back described, not as hangs, disconnects or aborts;
 //! * a coordinator restarted on its journal keeps the rows it had folded,
-//!   skips garbage and torn lines, and still fetches the same bytes.
+//!   skips garbage and torn lines, and still fetches the same bytes;
+//! * the wire waits on events: an idle worker's parked request is granted
+//!   the next submit, a stop releases idle workers at once, and a client's
+//!   cached connection follows a coordinator restart.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -33,14 +36,7 @@ fn farm_spec(name: &str, seeds: usize) -> SweepSpec {
 }
 
 fn test_config(slice_size: usize) -> FarmConfig {
-    FarmConfig {
-        slice_size,
-        worker_timeout: Duration::from_secs(10),
-        reaper_tick: Duration::from_millis(50),
-        retry_ms: 20,
-        quiet: true,
-        journal: None,
-    }
+    FarmConfig { slice_size, worker_timeout: Duration::from_secs(10), quiet: true, journal: None }
 }
 
 fn worker_opts(name: &str) -> WorkerOptions {
@@ -198,6 +194,71 @@ fn hung_worker_times_out_and_slice_is_requeued() {
     drop(wedged);
     coordinator.stop();
     assert!(real.join().unwrap().unwrap().clean_shutdown);
+}
+
+/// A work request that finds nothing queued is parked, not answered
+/// `NoWork`: the sweep submitted while it waits is its first reply.
+#[test]
+fn a_parked_work_request_is_granted_the_next_submit() {
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", test_config(2)).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let mut idle = FramedStream::new(TcpStream::connect(&addr).unwrap());
+    idle.handshake().unwrap();
+    idle.send(&Message::WorkerHello { name: "idle".into(), threads: 1 }).unwrap();
+    let Message::WorkerWelcome { worker_id } = idle.recv().unwrap() else {
+        panic!("expected a welcome")
+    };
+    idle.send(&Message::WorkRequest { worker_id }).unwrap();
+    // Give the request time to reach the empty coordinator first. The
+    // assertion holds in either order; the pause only makes a coordinator
+    // that answers an empty queue with `NoWork` fail here every time.
+    std::thread::sleep(Duration::from_millis(50));
+    let (sweep_id, _) = farm::submit(&addr, &farm_spec("farm_parked", 1)).unwrap();
+    match idle.recv().unwrap() {
+        Message::WorkSlice { sweep_id: granted, indices, .. } => {
+            assert_eq!((granted, indices), (sweep_id, vec![0, 1]));
+        }
+        other => panic!("the parked request got {other:?}, not the new sweep's first slice"),
+    }
+    drop(idle);
+    coordinator.shutdown();
+}
+
+/// A worker idle at stop leaves at once: its parked request is answered
+/// `Shutdown` and its heartbeat thread does not sleep out an interval.
+#[test]
+fn an_idle_worker_leaves_as_soon_as_the_coordinator_stops() {
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", test_config(4)).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let spec = farm_spec("farm_idle", 1);
+    let (sweep_id, _) = farm::submit(&addr, &spec).unwrap();
+    let worker = {
+        let addr = addr.clone();
+        let opts = WorkerOptions { heartbeat: Duration::from_secs(60), ..worker_opts("idle") };
+        std::thread::spawn(move || farm::run_worker(&addr, &opts))
+    };
+    let report = farm::wait_and_fetch(&addr, sweep_id, Duration::from_millis(5), false).unwrap();
+    assert_eq!(report.to_value().render(), local_bytes(&spec));
+    let start = Instant::now();
+    coordinator.shutdown();
+    assert!(worker.join().unwrap().unwrap().clean_shutdown);
+    assert!(start.elapsed() < Duration::from_secs(5), "the worker took {:?}", start.elapsed());
+}
+
+/// Client calls reuse one connection per thread and address. When the
+/// coordinator behind it stops, that connection is hung up on, and the next
+/// call reaches whatever now listens at the address.
+#[test]
+fn a_cached_client_connection_follows_a_restart_on_the_same_address() {
+    let first = farm::Coordinator::bind("127.0.0.1:0", test_config(4)).unwrap();
+    let addr = first.local_addr().to_string();
+    let (sweep_id, _) = farm::submit(&addr, &farm_spec("farm_first", 1)).unwrap();
+    assert_eq!(farm::status(&addr, sweep_id).unwrap().queued, 6);
+    drop(first);
+    let second = farm::Coordinator::bind(&addr, test_config(4)).unwrap();
+    assert!(farm::status(&addr, sweep_id).unwrap_err().contains("unknown sweep"));
+    assert_eq!(farm::submit(&addr, &farm_spec("farm_second", 1)).unwrap().0, 1);
+    second.shutdown();
 }
 
 /// The ETA published in `StatusReport` is the linear completion estimate,

@@ -790,9 +790,32 @@ pub struct FramedStream {
 }
 
 impl FramedStream {
-    /// Wraps a connected stream.
+    /// Wraps a connected stream and turns Nagle's algorithm off
+    /// (`TCP_NODELAY`): every frame is one write and most exchanges are
+    /// request/response, so batching small writes only adds the peer's
+    /// delayed-ACK wait to each round trip.
     pub fn new(stream: TcpStream) -> Self {
+        // Best effort: a socket that refuses the option still works.
+        let _ = stream.set_nodelay(true);
         Self { stream, peer_version: None, skipped_unknown: 0 }
+    }
+
+    /// The underlying socket.
+    pub fn get_ref(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// Whether the connection can no longer carry a request/response
+    /// exchange: the peer closed it, the socket failed, or unread bytes
+    /// are waiting (a reply nobody consumed). Checked with a non-blocking
+    /// peek, so it never waits.
+    pub fn peer_closed(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let peeked = self.stream.peek(&mut [0u8; 1]);
+        let restored = self.stream.set_nonblocking(false).is_ok();
+        !restored || !matches!(peeked, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
     }
 
     /// Clones the underlying socket into an independent framed handle
@@ -1078,6 +1101,38 @@ mod tests {
         raw.extend_from_slice(&1000u32.to_le_bytes()); // claims 1000 bytes
         raw.extend_from_slice(b"oops");
         assert!(Message::decode(&raw).is_err());
+    }
+
+    #[test]
+    fn connected_and_accepted_streams_turn_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected =
+            FramedStream::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let accepted = FramedStream::new(listener.accept().unwrap().0);
+        assert!(connected.get_ref().nodelay().unwrap());
+        assert!(accepted.get_ref().nodelay().unwrap());
+    }
+
+    #[test]
+    fn peer_closed_sees_a_hang_up_and_unread_bytes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client =
+            FramedStream::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let mut server = FramedStream::new(listener.accept().unwrap().0);
+        let eventually_closed = |s: &FramedStream| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !s.peer_closed() {
+                assert!(std::time::Instant::now() < deadline, "peer_closed never turned true");
+                std::thread::yield_now();
+            }
+        };
+        assert!(!client.peer_closed(), "an idle open connection is usable");
+        server.send(&Message::Done).unwrap();
+        eventually_closed(&client); // a stray frame is waiting
+        assert_eq!(client.recv().unwrap(), Message::Done);
+        assert!(!client.peer_closed());
+        drop(server);
+        eventually_closed(&client); // the hang-up arrived
     }
 
     #[test]

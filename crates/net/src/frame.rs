@@ -96,28 +96,37 @@ pub struct RawFrame {
     pub body: Vec<u8>,
 }
 
+/// Body bytes [`read_frame`] reads per step, so the buffer grows with the
+/// bytes that actually arrive, not with what the length prefix claims.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Writes one frame: `u32 LE (2 + body.len())`, `u16 LE kind`, body.
+///
+/// The frame goes out in a single write, so a socket with Nagle's
+/// algorithm on never holds a frame's tail back for the peer's delayed ACK.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_frame(w: &mut impl Write, kind: u16, body: &[u8]) -> Result<(), NetError> {
-    let len = 2 + body.len();
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&kind.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(6 + body.len());
+    frame.extend_from_slice(&((2 + body.len()) as u32).to_le_bytes());
+    frame.extend_from_slice(&kind.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame (any kind — the caller decides whether it understands
-/// it).
+/// it). The body is read in 64 KiB steps, so a length prefix that
+/// lies costs at most one chunk beyond the bytes really sent.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Io`] on socket failure, [`NetError::FrameTooLarge`]
-/// on a corrupt length prefix, or [`NetError::BadFrame`] if the frame is
-/// too short to carry a kind tag.
+/// Returns [`NetError::Io`] on socket failure (a body cut short included),
+/// [`NetError::FrameTooLarge`] on a corrupt length prefix, or
+/// [`NetError::BadFrame`] if the frame is too short to carry a kind tag.
 pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, NetError> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix)?;
@@ -130,8 +139,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, NetError> {
     }
     let mut kind_bytes = [0u8; 2];
     r.read_exact(&mut kind_bytes)?;
-    let mut body = vec![0u8; len - 2];
-    r.read_exact(&mut body)?;
+    let want = len - 2;
+    let mut body = Vec::new();
+    while body.len() < want {
+        let start = body.len();
+        body.resize(start + (want - start).min(READ_CHUNK), 0);
+        r.read_exact(&mut body[start..])?;
+    }
     Ok(RawFrame { kind: u16::from_le_bytes(kind_bytes), body })
 }
 
@@ -153,6 +167,43 @@ mod tests {
         write_frame(&mut buf, 42, &[]).unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame, RawFrame { kind: 42, body: vec![] });
+    }
+
+    /// A writer that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for body in [&[][..], &[1, 2, 3], &[7; 3 * READ_CHUNK]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, 9, body).unwrap();
+            assert_eq!(w.writes, 1, "a {}-byte body took {} writes", body.len(), w.writes);
+            let frame = read_frame(&mut w.bytes.as_slice()).unwrap();
+            assert_eq!(frame, RawFrame { kind: 9, body: body.to_vec() });
+        }
+    }
+
+    #[test]
+    fn a_length_bomb_errors_at_end_of_input() {
+        let mut raw = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        raw.extend_from_slice(&[5, 0, 1, 2, 3]);
+        assert!(matches!(read_frame(&mut raw.as_slice()), Err(NetError::Io(_))));
     }
 
     #[test]

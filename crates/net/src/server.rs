@@ -9,7 +9,7 @@
 //! service can drain politely (e.g. answer the next poll with `Shutdown`)
 //! instead of vanishing mid-conversation.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,16 +17,15 @@ use std::time::Duration;
 
 use crate::FramedStream;
 
-/// How often the accept loop polls the stop flag while no connection is
-/// pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
 /// A running [`serve`] loop: its bound address, stop flag and accept
 /// thread.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Set once the accept loop is known to be past its blocking
+    /// `accept` (woken, or never able to block again), so it can be joined.
+    woken: AtomicBool,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -41,27 +40,43 @@ impl ServerHandle {
         Arc::clone(&self.stop)
     }
 
-    /// Signals the accept loop and all session handlers to wind down.
-    /// Sessions blocked on a read finish when their peer disconnects.
+    /// Signals the accept loop and all session handlers to wind down, and
+    /// wakes the accept loop out of its blocking `accept` with one
+    /// connection to the bound address (loopback for an unspecified bind
+    /// such as `0.0.0.0`). Sessions blocked on a read finish when their
+    /// peer disconnects.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            // Refused: the listener is already gone with its loop.
+            Err(e) if e.kind() != std::io::ErrorKind::ConnectionRefused => {}
+            _ => self.woken.store(true, Ordering::SeqCst),
+        }
     }
 
     /// Stops (if not already stopped) and joins the accept thread.
     /// Session threads are detached; they exit when their connection
     /// closes or their handler observes the stop flag.
-    pub fn shutdown(mut self) {
-        self.stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
-        if let Some(t) = self.accept_thread.take() {
+        // An accept loop the wake-up could not reach is left detached
+        // rather than joined forever.
+        if let Some(t) = self.accept_thread.take().filter(|_| self.woken.load(Ordering::SeqCst)) {
             let _ = t.join();
         }
     }
@@ -82,33 +97,29 @@ where
 {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    // Non-blocking accept so the loop can observe the stop flag.
-    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let loop_stop = Arc::clone(&stop);
     let handler = Arc::new(handler);
     let accept_thread = std::thread::spawn(move || {
-        while !loop_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((sock, peer)) => {
-                    // Sessions themselves block on reads as usual.
-                    if sock.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let handler = Arc::clone(&handler);
-                    let session_stop = Arc::clone(&loop_stop);
-                    std::thread::spawn(move || {
-                        handler(FramedStream::new(sock), peer, &session_stop);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => break,
+        // `accept` blocks; `ServerHandle::stop` wakes it with a connection
+        // of its own, which the flag check below turns away.
+        while let Ok((sock, peer)) = listener.accept() {
+            if loop_stop.load(Ordering::SeqCst) {
+                break;
             }
+            let handler = Arc::clone(&handler);
+            let session_stop = Arc::clone(&loop_stop);
+            std::thread::spawn(move || {
+                handler(FramedStream::new(sock), peer, &session_stop);
+            });
         }
     });
-    Ok(ServerHandle { addr: local, stop, accept_thread: Some(accept_thread) })
+    Ok(ServerHandle {
+        addr: local,
+        stop,
+        woken: AtomicBool::new(false),
+        accept_thread: Some(accept_thread),
+    })
 }
 
 #[cfg(test)]
@@ -164,5 +175,16 @@ mod tests {
         s.send(&Message::Done).unwrap();
         assert_eq!(s.recv().unwrap(), Message::Shutdown);
         handle.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_a_blocked_accept_on_an_unspecified_bind() {
+        let handle = serve("0.0.0.0:0", |_s, _peer, _stop| {}).unwrap();
+        let port = handle.local_addr().port();
+        let start = std::time::Instant::now();
+        handle.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(1), "the accept loop was not woken");
+        // The listener went with its loop.
+        assert!(TcpStream::connect(("127.0.0.1", port)).is_err());
     }
 }
