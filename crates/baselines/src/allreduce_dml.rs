@@ -13,19 +13,12 @@ use crate::BaselineConfig;
 #[derive(Debug, Clone)]
 pub struct AllReduceDml {
     cfg: BaselineConfig,
-    algorithm: AllReduceAlgorithm,
 }
 
 impl AllReduceDml {
     /// Creates the engine with halving/doubling aggregation.
     pub fn new(cfg: BaselineConfig) -> Self {
-        Self { cfg, algorithm: AllReduceAlgorithm::HalvingDoubling }
-    }
-
-    /// Selects the aggregation algorithm (ring vs halving/doubling).
-    pub fn with_algorithm(mut self, algorithm: AllReduceAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
+        Self { cfg }
     }
 }
 
@@ -44,7 +37,7 @@ impl RoundEngine for AllReduceDml {
         let times = self.cfg.per_agent_times(world, participants);
         let min_link = self.cfg.min_link_mbps(world, participants);
         let cost = CollectiveCost::new(
-            self.algorithm,
+            AllReduceAlgorithm::HalvingDoubling,
             participants.len().max(1),
             self.cfg.model.model_bytes() as u64,
         );
@@ -62,18 +55,6 @@ mod tests {
     use super::*;
     use crate::common::full_round;
     use comdml_simnet::WorldConfig;
-
-    #[test]
-    fn ring_and_hd_differ_only_in_steps() {
-        let world = WorldConfig::heterogeneous(16, 1).build();
-        let mut hd = AllReduceDml::new(BaselineConfig::default());
-        let mut ring =
-            AllReduceDml::new(BaselineConfig::default()).with_algorithm(AllReduceAlgorithm::Ring);
-        let t_hd = full_round(&mut hd, &world, 0).round_s;
-        let t_ring = full_round(&mut ring, &world, 0).round_s;
-        // Same bytes, ring has more latency-bound steps.
-        assert!(t_ring >= t_hd);
-    }
 
     #[test]
     fn progress_reports_the_full_cohort_at_full_efficiency() {

@@ -7,8 +7,9 @@
 //! versus an unprotected baseline in the mid-80s at that round budget.
 //!
 //! We reproduce the *shape* — each defence costs a few accuracy points, DP
-//! the most — with real gradient descent on the miniature synthetic task
-//! (see DESIGN.md §2 for the substitution rationale).
+//! the most — with real gradient descent on the miniature synthetic task,
+//! which stands in for CIFAR-10 and ResNet-56 because real images are not
+//! available offline (see `comdml-data`).
 
 use comdml_core::{RealFleetConfig, RealSplitFleet};
 use comdml_privacy::{distance_correlation, LaplaceMechanism, PatchShuffler};

@@ -1,6 +1,7 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the ComDML paper. See DESIGN.md for the experiment index
-//! and EXPERIMENTS.md for paper-vs-measured results.
+//! and figure of the ComDML paper. Each binary's module doc names the
+//! section it regenerates or the claim it checks; EXPERIMENTS.md walks
+//! through a full reproduction.
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository
 //! README shows how this crate fits the whole.

@@ -8,9 +8,9 @@
 //! `2·(K−1)/K · b` bytes per agent.
 //!
 //! This crate implements both algorithms *for real* over in-memory buffers
-//! (they are also reused by the tokio transport in `comdml-net`), plus the
-//! gossip-averaging primitive used by the Gossip Learning baseline and an
-//! int8 quantizer hook (§IV-B notes quantized gradients can be integrated).
+//! and prices them with [`CollectiveCost`]. It also provides an int8
+//! quantizer hook (§IV-B notes quantized gradients can be integrated) and
+//! a top-k sparsifier.
 //!
 //! # Example
 //!
@@ -28,13 +28,11 @@
 mod allreduce;
 mod cost;
 mod error;
-mod gossip;
 mod quantize;
 mod sparsify;
 
 pub use allreduce::{halving_doubling_allreduce, naive_allreduce, ring_allreduce};
 pub use cost::{AllReduceAlgorithm, CollectiveCost};
 pub use error::CollectiveError;
-pub use gossip::{gossip_pair_average, gossip_round};
 pub use quantize::Int8Quantizer;
 pub use sparsify::{SparseVector, TopKSparsifier};

@@ -1,11 +1,9 @@
 //! Property tests: every AllReduce implementation equals the arithmetic mean.
 
 use comdml_collective::{
-    gossip_round, halving_doubling_allreduce, naive_allreduce, ring_allreduce, Int8Quantizer,
+    halving_doubling_allreduce, naive_allreduce, ring_allreduce, Int8Quantizer,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bufs_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     (1usize..12, 1usize..40).prop_flat_map(|(k, n)| {
@@ -60,17 +58,6 @@ proptest! {
                 prop_assert!((xv - zv).abs() < 1e-2);
             }
         }
-    }
-
-    #[test]
-    fn gossip_preserves_global_sum(mut bufs in bufs_strategy(), seed in 0u64..u64::MAX) {
-        let k = bufs.len();
-        let sum_before: f64 = bufs.iter().flat_map(|b| b.iter()).map(|&v| v as f64).sum();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let all = move |r: usize| (0..k).filter(|&j| j != r).collect::<Vec<_>>();
-        gossip_round(&mut bufs, all, &mut rng).unwrap();
-        let sum_after: f64 = bufs.iter().flat_map(|b| b.iter()).map(|&v| v as f64).sum();
-        prop_assert!((sum_before - sum_after).abs() < 1e-1 * (1.0 + sum_before.abs()));
     }
 
     #[test]

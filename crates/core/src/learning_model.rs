@@ -185,11 +185,6 @@ impl LearningModel {
         self.target
     }
 
-    /// Effective rounds the curve demands for the target.
-    pub fn needed_effective_rounds(&self) -> f64 {
-        self.needed
-    }
-
     /// Effective rounds accumulated so far.
     pub fn effective_rounds(&self) -> f64 {
         self.effective

@@ -55,7 +55,6 @@ mod learning_model;
 mod real_fleet;
 mod round;
 mod scheduler;
-mod theory;
 
 pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, RoundEngine, RoundInput};
 pub use estimator::{
@@ -71,4 +70,3 @@ pub use learning_model::{sampling_penalty, LearningModel, RoundProgress};
 pub use real_fleet::{InputHook, ParamHook, RealFleetConfig, RealFleetReport, RealSplitFleet};
 pub use round::{helper_completion_s, simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
 pub use scheduler::{Pairing, PairingOrder, PairingScheduler};
-pub use theory::ConvergenceConstants;

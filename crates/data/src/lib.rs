@@ -31,13 +31,11 @@
 //! Part of the `comdml-rs` workspace — the crate map in the repository
 //! README shows how this crate fits the whole.
 
-mod augment;
 mod batcher;
 mod partition;
 mod spec;
 mod synthetic;
 
-pub use augment::Augmenter;
 pub use batcher::Batcher;
 pub use partition::{iid_partition, DirichletPartitioner, PartitionStats};
 pub use spec::DatasetSpec;

@@ -67,11 +67,6 @@ impl DatasetSpec {
     pub fn sample_elems(&self) -> usize {
         self.channels * self.height * self.width
     }
-
-    /// The three paper datasets in evaluation order.
-    pub fn paper_suite() -> Vec<DatasetSpec> {
-        vec![Self::cifar10(), Self::cifar100(), Self::cinic10()]
-    }
 }
 
 #[cfg(test)]
@@ -89,11 +84,6 @@ mod tests {
         let cinic = DatasetSpec::cinic10();
         assert_eq!(cinic.train_samples, 90_000);
         assert_eq!(cinic.num_classes, 10);
-    }
-
-    #[test]
-    fn suite_has_three_datasets() {
-        assert_eq!(DatasetSpec::paper_suite().len(), 3);
     }
 
     #[test]

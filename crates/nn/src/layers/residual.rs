@@ -5,9 +5,9 @@ use crate::{Layer, NnError, Sequential};
 /// A residual block: `y = body(x) + x`, the structural motif of the paper's
 /// ResNet-56/110 models.
 ///
-/// The wrapped body must preserve the input shape (identity shortcut only —
-/// the projection shortcut of downsampling blocks is modelled as a plain
-/// strided convolution outside the block in our miniature ResNets).
+/// The wrapped body must preserve the input shape (identity shortcut only;
+/// a downsampling block's projection shortcut would be a plain strided
+/// convolution outside the block).
 #[derive(Debug)]
 pub struct Residual {
     body: Sequential,

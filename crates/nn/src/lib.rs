@@ -40,7 +40,6 @@ mod layer;
 mod layers;
 mod loss;
 pub mod models;
-mod schedule;
 mod sequential;
 mod split;
 mod trainer;
@@ -53,7 +52,6 @@ pub use layers::{
     Residual,
 };
 pub use loss::CrossEntropyLoss;
-pub use schedule::ReduceOnPlateau;
 pub use sequential::Sequential;
 pub use split::{AuxHead, LocalLossSplit, SgdPair, SplitLosses};
 pub use trainer::{accuracy, train_step, Trainer};

@@ -1,16 +1,15 @@
 //! Ready-made model builders used by tests, examples and the real-training
 //! experiments.
 //!
-//! These are miniature stand-ins for the paper's ResNet-56/110: they have
-//! the same structural skeleton (conv stem → residual stages → global pool →
-//! FC) at a scale that trains in seconds on a CPU. The *timing* experiments
-//! use the analytic `comdml-cost` profiles of the full-size models; these
-//! real models demonstrate that local-loss split training converges
-//! (Theorem 1) with actual gradients.
+//! These are miniature stand-ins for the paper's ResNet-56/110 at a scale
+//! that trains in seconds on a CPU. The *timing* experiments use the
+//! analytic `comdml-cost` profiles of the full-size models; these real
+//! models demonstrate that local-loss split training converges (Theorem 1)
+//! with actual gradients.
 
 use rand::Rng;
 
-use crate::{AvgPool2d, Conv2d, Dense, Flatten, GlobalAvgPool, Relu, Residual, Sequential};
+use crate::{AvgPool2d, Conv2d, Dense, Flatten, Relu, Sequential};
 
 /// Builds an MLP with ReLU between consecutive [`Dense`] layers.
 ///
@@ -54,42 +53,6 @@ pub fn tiny_cnn<R: Rng>(in_channels: usize, num_classes: usize, rng: &mut R) -> 
     model
 }
 
-/// A miniature ResNet for `[batch, in_channels, 8, 8]` inputs: a conv stem,
-/// `blocks_per_stage` residual blocks at 8 channels, a strided conv to 16
-/// channels, `blocks_per_stage` more blocks, then global pool + FC — the
-/// same skeleton as the paper's CIFAR ResNets at 1/1000 the compute.
-pub fn mini_resnet<R: Rng>(
-    in_channels: usize,
-    blocks_per_stage: usize,
-    num_classes: usize,
-    rng: &mut R,
-) -> Sequential {
-    let mut model = Sequential::new();
-    model.push(Conv2d::new(in_channels, 8, 3, 1, 1, rng));
-    model.push(Relu::new());
-    for _ in 0..blocks_per_stage {
-        let mut body = Sequential::new();
-        body.push(Conv2d::new(8, 8, 3, 1, 1, rng));
-        body.push(Relu::new());
-        body.push(Conv2d::new(8, 8, 3, 1, 1, rng));
-        model.push(Residual::new(body));
-        model.push(Relu::new());
-    }
-    model.push(Conv2d::new(8, 16, 3, 2, 1, rng)); // downsample 8x8 -> 4x4
-    model.push(Relu::new());
-    for _ in 0..blocks_per_stage {
-        let mut body = Sequential::new();
-        body.push(Conv2d::new(16, 16, 3, 1, 1, rng));
-        body.push(Relu::new());
-        body.push(Conv2d::new(16, 16, 3, 1, 1, rng));
-        model.push(Residual::new(body));
-        model.push(Relu::new());
-    }
-    model.push(GlobalAvgPool::new());
-    model.push(Dense::new(16, num_classes, rng));
-    model
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,22 +74,5 @@ mod tests {
         let mut m = tiny_cnn(3, 10, &mut rng);
         let y = m.forward(&Tensor::zeros(&[2, 3, 8, 8])).unwrap();
         assert_eq!(y.shape(), &[2, 10]);
-    }
-
-    #[test]
-    fn mini_resnet_shapes() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut m = mini_resnet(3, 2, 4, &mut rng);
-        let y = m.forward(&Tensor::zeros(&[2, 3, 8, 8])).unwrap();
-        assert_eq!(y.shape(), &[2, 4]);
-    }
-
-    #[test]
-    fn mini_resnet_depth_scales_with_blocks() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let shallow = mini_resnet(3, 1, 4, &mut rng);
-        let deep = mini_resnet(3, 3, 4, &mut rng);
-        assert!(deep.len() > shallow.len());
-        assert!(deep.num_params() > shallow.num_params());
     }
 }

@@ -37,11 +37,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer (used when splitting models at runtime).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -65,11 +60,6 @@ impl Sequential {
         let mut layers = self.layers;
         let suffix = layers.split_off(cut);
         Ok((Sequential { layers }, Sequential { layers: suffix }))
-    }
-
-    /// Consumes the model and returns its boxed layers in order.
-    pub fn into_layers(self) -> Vec<Box<dyn Layer>> {
-        self.layers
     }
 
     /// Runs the full forward pass.

@@ -191,16 +191,6 @@ impl LocalLossSplit {
         self.offload
     }
 
-    /// The slow-side model (prefix).
-    pub fn slow_side(&self) -> &Sequential {
-        &self.slow
-    }
-
-    /// The fast-side model (offloaded suffix).
-    pub fn fast_side(&self) -> &Sequential {
-        &self.fast
-    }
-
     fn ensure_aux(&mut self, activation: &Tensor) -> Result<(), NnError> {
         if self.aux.is_none() {
             let mut rng = StdRng::seed_from_u64(self.aux_seed);
@@ -309,16 +299,6 @@ impl LocalLossSplit {
         }
         self.slow.set_parameters(&params[..n_slow])?;
         self.fast.set_parameters(&params[n_slow..])
-    }
-
-    /// Reunites the two sides into a single [`Sequential`] (dropping the
-    /// auxiliary head), e.g. after training finishes.
-    pub fn into_sequential(self) -> Sequential {
-        let mut model = self.slow;
-        for layer in self.fast.into_layers() {
-            model.push_boxed(layer);
-        }
-        model
     }
 }
 

@@ -106,11 +106,6 @@ impl Trainer {
         }
         Ok(total / batches.len() as f32)
     }
-
-    /// Decays the learning rate by `factor` (plateau schedule).
-    pub fn decay_lr(&mut self, factor: f32) {
-        self.opt.decay(factor);
-    }
 }
 
 #[cfg(test)]
@@ -169,21 +164,5 @@ mod tests {
         let mut model = models::mlp(&[2, 4, 2], &mut rng);
         let x = Tensor::zeros(&[0, 2]);
         assert_eq!(accuracy(&mut model, &x, &[]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn decay_reduces_future_step_sizes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = models::mlp(&[2, 4, 2], &mut rng);
-        let mut trainer = Trainer::new(model, 0.1, 0.0);
-        trainer.decay_lr(0.1);
-        // After heavy decay the params barely move.
-        let before = trainer.model().parameters();
-        let (x, y) = blobs(4, &mut rng);
-        trainer.step(&x, &y).unwrap();
-        let after = trainer.model().parameters();
-        let delta: f32 =
-            before.iter().zip(after.iter()).map(|(a, b)| a.sub(b).unwrap().norm()).sum();
-        assert!(delta < 0.5, "decayed steps should be small, moved {delta}");
     }
 }

@@ -69,40 +69,6 @@ fn centered_distance_matrix(t: &Tensor, n: usize) -> Vec<f64> {
     d
 }
 
-/// The NoPeek composite objective (\[43\]): `task_loss + α · dCor(x, z)`.
-///
-/// The paper integrates this with α = 0.5 and reports 81.7% accuracy on
-/// CIFAR-10 (§V-B.4). In our real-training experiments the dCor term is
-/// evaluated per batch and reported alongside the task loss; minimizing it
-/// end-to-end would need higher-order gradients, so (as in common NoPeek
-/// implementations) it acts through activation regularization strength
-/// reported to the caller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoPeekLoss {
-    /// Weight of the distance-correlation penalty.
-    pub alpha: f64,
-}
-
-impl NoPeekLoss {
-    /// Creates the loss with penalty weight `alpha` (0.5 in the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha >= 0.0, "alpha cannot be negative, got {alpha}");
-        Self { alpha }
-    }
-
-    /// Combines a task loss with the leakage penalty for a batch.
-    ///
-    /// Returns `None` if the distance correlation is undefined for the
-    /// inputs (mismatched or tiny batches).
-    pub fn combine(&self, task_loss: f64, x: &Tensor, z: &Tensor) -> Option<f64> {
-        Some(task_loss + self.alpha * distance_correlation(x, z)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,13 +129,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let z = Tensor::randn(&[8, 3], 1.0, &mut rng);
         assert_eq!(distance_correlation(&x, &z).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn nopeek_combines_losses() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let x = Tensor::randn(&[16, 4], 1.0, &mut rng);
-        let loss = NoPeekLoss::new(0.5).combine(1.0, &x, &x).unwrap();
-        assert!(loss > 1.49 && loss <= 1.5 + 1e-9);
     }
 }

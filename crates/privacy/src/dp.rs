@@ -1,5 +1,4 @@
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
 /// The Laplace mechanism: adds `Lap(0, sensitivity/ε)` noise to each value
 /// — ε-differential privacy for the released parameters (\[39\]; the paper's
@@ -54,43 +53,6 @@ impl LaplaceMechanism {
     }
 }
 
-/// The Gaussian mechanism: `N(0, σ²)` noise with
-/// `σ = sensitivity·√(2·ln(1.25/δ))/ε` — (ε, δ)-differential privacy \[39\].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaussianMechanism {
-    epsilon: f64,
-    delta: f64,
-    sensitivity: f64,
-}
-
-impl GaussianMechanism {
-    /// Creates the mechanism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon`, `delta` or `sensitivity` is not in its valid
-    /// range (`ε > 0`, `0 < δ < 1`, `sensitivity > 0`).
-    pub fn new(epsilon: f64, delta: f64, sensitivity: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive, got {epsilon}");
-        assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta must be in (0, 1), got {delta}");
-        assert!(sensitivity > 0.0, "sensitivity must be positive, got {sensitivity}");
-        Self { epsilon, delta, sensitivity }
-    }
-
-    /// The noise standard deviation σ.
-    pub fn sigma(&self) -> f64 {
-        self.sensitivity * (2.0 * (1.25 / self.delta).ln()).sqrt() / self.epsilon
-    }
-
-    /// Adds independent Gaussian noise to every value in place.
-    pub fn privatize<R: Rng>(&self, values: &mut [f32], rng: &mut R) {
-        let normal = Normal::new(0.0, self.sigma()).expect("sigma is finite and positive");
-        for v in values.iter_mut() {
-            *v += normal.sample(rng) as f32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,23 +76,6 @@ mod tests {
         let strict = LaplaceMechanism::new(0.1, 1.0);
         let loose = LaplaceMechanism::new(10.0, 1.0);
         assert!(strict.scale() > loose.scale());
-    }
-
-    #[test]
-    fn gaussian_sigma_matches_formula() {
-        let mech = GaussianMechanism::new(0.5, 1e-5, 1.0);
-        let expect = (2.0 * (1.25f64 / 1e-5).ln()).sqrt() / 0.5;
-        assert!((mech.sigma() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gaussian_noise_is_centered() {
-        let mech = GaussianMechanism::new(1.0, 1e-5, 0.1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut values = vec![5.0f32; 50_000];
-        mech.privatize(&mut values, &mut rng);
-        let mean: f64 = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

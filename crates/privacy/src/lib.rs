@@ -2,16 +2,16 @@
 //!
 //! ComDML exchanges intermediate activations between paired agents and model
 //! parameters during aggregation. The paper evaluates three pluggable
-//! defences, all reproduced here:
+//! defences, and `privacy_eval` in `comdml-bench` measures each one with
+//! these building blocks:
 //!
-//! * [`LaplaceMechanism`] / [`GaussianMechanism`] — differential privacy on
-//!   model parameters (the paper reports 77.6% accuracy with Laplace noise,
-//!   ε = 0.5, δ = 1e−5).
+//! * [`LaplaceMechanism`] — differential privacy on model parameters (the
+//!   paper reports 77.6% accuracy with Laplace noise, ε = 0.5, δ = 1e−5).
 //! * [`PatchShuffler`] — shuffling spatial patches of the input image before
 //!   it enters the network (\[42\]; 83.2% reported).
-//! * [`distance_correlation`] and [`NoPeekLoss`] — minimizing the distance
-//!   correlation between raw inputs and intermediate representations
-//!   (\[43\] NoPeek; 81.7% at α = 0.5).
+//! * [`distance_correlation`] — the leakage measure that NoPeek (\[43\];
+//!   81.7% at α = 0.5) minimizes between raw inputs and intermediate
+//!   representations.
 //!
 //! # Example
 //!
@@ -29,12 +29,10 @@
 //! Part of the `comdml-rs` workspace — the crate map in the repository
 //! README shows how this crate fits the whole.
 
-mod accountant;
 mod dcor;
 mod dp;
 mod patch;
 
-pub use accountant::PrivacyAccountant;
-pub use dcor::{distance_correlation, NoPeekLoss};
-pub use dp::{GaussianMechanism, LaplaceMechanism};
+pub use dcor::distance_correlation;
+pub use dp::LaplaceMechanism;
 pub use patch::PatchShuffler;

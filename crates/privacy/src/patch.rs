@@ -35,11 +35,6 @@ impl PatchShuffler {
         Self { patch }
     }
 
-    /// The patch edge length.
-    pub fn patch_size(&self) -> usize {
-        self.patch
-    }
-
     /// Returns a copy of `[batch, c, h, w]` images with patches permuted
     /// independently per image (all channels move together, preserving
     /// pixel alignment across channels).

@@ -268,29 +268,10 @@ impl World {
         &self.adjacency
     }
 
-    /// Appends a new agent to the world (elastic-fleet arrivals), connected
-    /// to every existing agent via [`Adjacency::grow`], and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn push_agent(
-        &mut self,
-        profile: AgentProfile,
-        num_samples: usize,
-        batch_size: usize,
-    ) -> AgentId {
-        let id = AgentId(self.agents.len());
-        self.agents.push(AgentState::new(id, profile, num_samples, batch_size));
-        self.cpus.push(profile.cpus);
-        self.link_col.push(profile.link_mbps);
-        self.adjacency.grow();
-        id
-    }
-
-    /// Appends a new agent wired in under the given [`JoinTopology`]
-    /// (full-mesh joins behave exactly like [`World::push_agent`];
-    /// Erdős–Rényi joins draw each edge from `rng`), and returns its id.
+    /// Appends a new agent (elastic-fleet arrivals) wired in under the given
+    /// [`JoinTopology`] (full-mesh joins connect it to every existing agent
+    /// via [`Adjacency::grow`]; Erdős–Rényi joins draw each edge from
+    /// `rng`), and returns its id.
     ///
     /// # Panics
     ///
@@ -402,17 +383,6 @@ impl World {
         self.partition.is_some_and(|(groups, isolated)| id.0 % groups == isolated)
     }
 
-    /// The neighbours of `i` with a usable (non-zero) link.
-    pub fn reachable_neighbors(&self, i: AgentId) -> Vec<AgentId> {
-        self.reachable_neighbors_iter(i).collect()
-    }
-
-    /// Iterator form of [`World::reachable_neighbors`] — no allocation, for
-    /// hot paths that only scan or count.
-    pub fn reachable_neighbors_iter(&self, i: AgentId) -> impl Iterator<Item = AgentId> + '_ {
-        self.adjacency.neighbors_iter(i.0).map(AgentId).filter(move |&j| self.link_mbps(i, j) > 0.0)
-    }
-
     /// Re-rolls the profiles of a `fraction` of agents, the paper's dynamic
     /// environment ("we randomly changed the profile of 20% of the agents
     /// after 100 rounds").
@@ -471,19 +441,6 @@ impl World {
         }
         positions.truncate(n);
         positions.sort_unstable();
-    }
-
-    /// The slowest agent's solo round time given per-batch seconds computed
-    /// by the caller — convenience for straggler diagnostics.
-    pub fn straggler_by<F: Fn(&AgentState) -> f64>(&self, time_fn: F) -> (AgentId, f64) {
-        let mut worst = (AgentId(0), 0.0);
-        for a in &self.agents {
-            let t = time_fn(a);
-            if t > worst.1 {
-                worst = (a.id, t);
-            }
-        }
-        worst
     }
 }
 
@@ -580,18 +537,6 @@ mod tests {
         let w = World::from_parts(agents, adj, 0);
         assert_eq!(w.link_mbps(AgentId(0), AgentId(1)), 10.0);
         assert_eq!(w.link_mbps(AgentId(0), AgentId(0)), 0.0);
-    }
-
-    #[test]
-    fn disconnected_profile_has_no_reachable_neighbors() {
-        let agents = vec![
-            AgentState::new(AgentId(0), AgentProfile::disconnected(1.0), 100, 10),
-            AgentState::new(AgentId(1), AgentProfile::new(1.0, 50.0), 100, 10),
-        ];
-        let adj = Adjacency::from_matrix(vec![vec![false, true], vec![true, false]]);
-        let w = World::from_parts(agents, adj, 0);
-        assert!(w.reachable_neighbors(AgentId(0)).is_empty());
-        assert!(w.reachable_neighbors(AgentId(1)).is_empty());
     }
 
     #[test]
@@ -753,16 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_by_finds_maximum() {
-        let w = WorldConfig::heterogeneous(10, 19).build();
-        let (id, t) = w.straggler_by(|a| a.num_batches() as f64 / a.profile.cpus);
-        for a in w.agents() {
-            assert!(a.num_batches() as f64 / a.profile.cpus <= t + 1e-12);
-        }
-        assert!(id.0 < 10);
-    }
-
-    #[test]
     fn hot_columns_track_every_mutator() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -776,9 +711,15 @@ mod tests {
         check(&w);
         w.churn_profiles(0.5);
         check(&w);
-        w.push_agent(AgentProfile::new(2.0, 20.0), 100, 10);
-        check(&w);
         let mut rng = StdRng::seed_from_u64(3);
+        w.push_agent_joined(
+            AgentProfile::new(2.0, 20.0),
+            100,
+            10,
+            JoinTopology::FullMesh,
+            &mut rng,
+        );
+        check(&w);
         w.push_agent_joined(
             AgentProfile::new(0.5, 10.0),
             100,

@@ -1,8 +1,8 @@
 use crate::{Tensor, TensorError};
 
 /// Stochastic gradient descent with momentum, the optimizer used throughout
-/// the paper's experiments (momentum 0.9, initial learning rate 1e-3, decay
-/// on plateau — §V-A "Hyper-parameters").
+/// the paper's experiments (momentum 0.9, initial learning rate 1e-3 —
+/// §V-A "Hyper-parameters"; its decay-on-plateau schedule is not modelled).
 ///
 /// The optimizer keeps one velocity buffer per parameter tensor and applies
 /// the classic update
@@ -42,32 +42,6 @@ impl SgdMomentum {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive, got {lr}");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1), got {momentum}");
         Self { lr, momentum, velocity: Vec::new() }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate (used by the plateau decay schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
-    /// Multiplies the learning rate by `factor`, the paper's decay-on-plateau
-    /// schedule (factor 0.2 with 10 agents, 0.5 with 20/50/100 agents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    pub fn decay(&mut self, factor: f32) {
-        assert!(factor.is_finite() && factor > 0.0, "decay factor must be positive, got {factor}");
-        self.lr *= factor;
     }
 
     /// Applies one SGD-with-momentum update to `params` given `grads`.
@@ -158,15 +132,6 @@ mod tests {
         assert!(opt.step(&mut w, &[]).is_err());
         let g = vec![Tensor::zeros(&[3])];
         assert!(opt.step(&mut w, &g).is_err());
-    }
-
-    #[test]
-    fn decay_scales_learning_rate() {
-        let mut opt = SgdMomentum::new(0.1, 0.9);
-        opt.decay(0.2);
-        assert!((opt.learning_rate() - 0.02).abs() < 1e-8);
-        opt.set_learning_rate(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
     }
 
     #[test]

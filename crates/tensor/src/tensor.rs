@@ -118,11 +118,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its raw storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped copy sharing the same element order.
     ///
     /// # Errors
