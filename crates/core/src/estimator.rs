@@ -29,6 +29,18 @@ pub struct SplitDecision {
 /// `νₘ` bytes over the `cᵢⱼ` link, and trains the offloaded suffix (right
 /// arm). The returned decision minimizes over `m` (lines 20–21).
 ///
+/// # Cost
+///
+/// The scheduler prices one slow agent against many helpers, so the
+/// estimator splits line 18 at the helper. Per slow agent it computes, once,
+/// `Ñᵢ/pᵢ` and for every split `Ñᵢ·Tₛᵐ/pᵢ`, `Ñᵢ·νₘ` and `Ñᵢ·T_fᵐ`; per
+/// helper a split then costs `(τ̂ⱼ + Ñᵢνₘ/cᵢⱼ) + Ñᵢ·T_fᵐ/pⱼ`, two divisions.
+/// Those are the operations a direct evaluation performs, in the same order,
+/// so every estimate is bit for bit what line 18 gives. The model's training
+/// FLOPs, which set every `p`, are summed once when its [`ModelSpec`] is
+/// built. Nothing is memoized: the one pricing form is cheap enough on the
+/// paper's CPU grid and on continuous CPU distributions alike.
+///
 /// # Example
 ///
 /// ```
@@ -88,7 +100,7 @@ impl<'a> TrainingTimeEstimator<'a> {
     ///
     /// Returns the best decision; with a dead link (0 Mbps) or when no split
     /// beats training alone, the decision has `offload == 0` and the solo
-    /// time.
+    /// time. Among equally fast splits the smallest offload wins.
     pub fn estimate(
         &self,
         slow: &AgentState,
@@ -96,32 +108,82 @@ impl<'a> TrainingTimeEstimator<'a> {
         fast_solo_s: f64,
         link_mbps: f64,
     ) -> SplitDecision {
+        let mut side = SlowSide::default();
+        self.prepare(slow, &mut side);
+        self.price(&side, fast, fast_solo_s, link_mbps)
+    }
+
+    /// Fills `side` with the terms of line 18 that depend only on the slow
+    /// agent, reusing its buffer. A side already holding an agent with the
+    /// same CPU speed, batch size and batch count is left as it is: its
+    /// terms are the same.
+    pub(crate) fn prepare(&self, slow: &AgentState, side: &mut SlowSide) {
+        let key = (slow.profile.cpus.to_bits(), slow.batch_size, slow.num_batches());
+        if side.key == Some(key) {
+            return;
+        }
+        side.key = Some(key);
         let n_i = slow.num_batches() as f64;
         let p_i = self.batches_per_s(slow);
-        let p_j = self.batches_per_s(fast);
-        let link_bytes_s = self.cal.bytes_per_s(link_mbps);
-        let solo = n_i / p_i;
+        side.solo_s = n_i / p_i;
+        side.splits.clear();
+        // Lines 16-17: convert full-model speeds into split-side speeds.
+        side.splits.extend(self.profile.iter().filter(|e| e.offload > 0).map(|e| SlowSplit {
+            offload: e.offload,
+            slow_arm_s: if e.t_slow_rel > 0.0 { n_i * e.t_slow_rel / p_i } else { 0.0 },
+            bytes: n_i * e.nu_bytes_per_batch as f64,
+            fast_batches: n_i * e.t_fast_rel,
+        }));
+    }
 
-        let mut best = SplitDecision { est_time_s: solo, offload: 0 };
+    /// [`TrainingTimeEstimator::estimate`] for a slow agent already
+    /// [`prepare`](Self::prepare)d into `side`.
+    pub(crate) fn price(
+        &self,
+        side: &SlowSide,
+        fast: &AgentState,
+        fast_solo_s: f64,
+        link_mbps: f64,
+    ) -> SplitDecision {
+        let mut best = SplitDecision { est_time_s: side.solo_s, offload: 0 };
+        let link_bytes_s = self.cal.bytes_per_s(link_mbps);
         if link_bytes_s <= 0.0 {
             return best;
         }
-        for e in self.profile.iter() {
-            if e.offload == 0 {
-                continue;
-            }
-            // Lines 16-17: convert full-model speeds into split-side speeds.
-            let slow_arm = if e.t_slow_rel > 0.0 { n_i * e.t_slow_rel / p_i } else { 0.0 };
-            let comm = n_i * e.nu_bytes_per_batch as f64 / link_bytes_s;
-            let fast_arm = fast_solo_s + comm + n_i * e.t_fast_rel / p_j;
+        let p_j = self.batches_per_s(fast);
+        for s in &side.splits {
             // Line 18: parallel arms.
-            let t = slow_arm.max(fast_arm);
+            let fast_arm = fast_solo_s + s.bytes / link_bytes_s + s.fast_batches / p_j;
+            let t = s.slow_arm_s.max(fast_arm);
             if t < best.est_time_s {
-                best = SplitDecision { est_time_s: t, offload: e.offload };
+                best = SplitDecision { est_time_s: t, offload: s.offload };
             }
         }
         best
     }
+}
+
+/// The helper-independent terms of line 18 for one slow agent `i`: built
+/// once per visit, then priced against every candidate helper.
+#[derive(Debug, Default)]
+pub(crate) struct SlowSide {
+    /// `(cpus bits, batch size, batches)` of the agent the terms belong to.
+    key: Option<(u64, usize, usize)>,
+    /// `Ñᵢ / pᵢ`, training alone.
+    solo_s: f64,
+    /// One entry per offloading split, in profile order.
+    splits: Vec<SlowSplit>,
+}
+
+#[derive(Debug)]
+struct SlowSplit {
+    offload: usize,
+    /// `Ñᵢ·Tₛᵐ / pᵢ`: the slow arm, which no helper changes.
+    slow_arm_s: f64,
+    /// `Ñᵢ·νₘ`: the activation bytes the cut ships.
+    bytes: f64,
+    /// `Ñᵢ·T_fᵐ`: the offloaded suffix in full-model batches.
+    fast_batches: f64,
 }
 
 /// [`TrainingTimeEstimator::batches_per_s`] without a split profile.
@@ -135,94 +197,12 @@ pub(crate) fn solo_time_s(spec: &ModelSpec, cal: &CostCalibration, agent: &Agent
     agent.num_batches() as f64 / batches_per_s(spec, cal, agent)
 }
 
-/// Fowler–Noll–Vo hasher for the memo keys below: the keys are short
-/// tuples of raw bit patterns, where FNV beats SipHash by a wide margin and
-/// the DoS resistance SipHash buys is irrelevant.
-#[derive(Default)]
-pub struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-/// `BuildHasher` for [`FnvHasher`]-keyed maps.
-pub type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
-
-type SoloKey = (u64, usize, usize);
-type EstimateKey = (SoloKey, u64, usize, u64, u64);
-
-/// Memoizes [`TrainingTimeEstimator`] evaluations on their *exact* input
-/// bit patterns.
-///
-/// A fleet draws profiles from small grids (5 CPU classes × 5 link classes)
-/// and dataset shares from a handful of sizes, so a million-agent pairing
-/// round asks the estimator the same few thousand questions millions of
-/// times. Keying on the raw bits (`f64::to_bits`) makes a memo hit return
-/// the identical `SplitDecision` the direct call would compute — results
-/// are bit-for-bit unchanged, only cheaper.
-///
-/// The memo is scoped by its owner (the scheduler builds one per pairing
-/// round), so profile churn between rounds can never serve stale entries
-/// with matching keys — a key *is* the full input.
-#[derive(Debug, Default)]
-pub struct EstimateMemo {
-    solo: std::collections::HashMap<SoloKey, f64, FnvBuildHasher>,
-    estimate: std::collections::HashMap<EstimateKey, SplitDecision, FnvBuildHasher>,
-}
-
-impl EstimateMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn solo_key(agent: &AgentState) -> SoloKey {
-        (agent.profile.cpus.to_bits(), agent.batch_size, agent.num_batches())
-    }
-
-    /// Memoized [`TrainingTimeEstimator::solo_time_s`].
-    pub fn solo_time_s(&mut self, est: &TrainingTimeEstimator<'_>, agent: &AgentState) -> f64 {
-        *self.solo.entry(Self::solo_key(agent)).or_insert_with(|| est.solo_time_s(agent))
-    }
-
-    /// Memoized [`TrainingTimeEstimator::estimate`].
-    pub fn estimate(
-        &mut self,
-        est: &TrainingTimeEstimator<'_>,
-        slow: &AgentState,
-        fast: &AgentState,
-        fast_solo_s: f64,
-        link_mbps: f64,
-    ) -> SplitDecision {
-        let key = (
-            Self::solo_key(slow),
-            fast.profile.cpus.to_bits(),
-            fast.batch_size,
-            fast_solo_s.to_bits(),
-            link_mbps.to_bits(),
-        );
-        *self
-            .estimate
-            .entry(key)
-            .or_insert_with(|| est.estimate(slow, fast, fast_solo_s, link_mbps))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comdml_cost::LayerSpec;
     use comdml_simnet::{AgentId, AgentProfile};
+    use proptest::prelude::*;
 
     fn fixtures() -> (ModelSpec, SplitProfile, CostCalibration) {
         let spec = ModelSpec::resnet56();
@@ -305,28 +285,83 @@ mod tests {
         assert!(d_idle.est_time_s < d_busy.est_time_s);
     }
 
-    #[test]
-    fn memo_returns_bit_identical_decisions() {
-        let (spec, profile, cal) = fixtures();
-        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
-        let mut memo = EstimateMemo::new();
-        let agents: Vec<AgentState> = (0..8)
-            .map(|i| agent(i, [0.2, 0.5, 1.0, 4.0][i % 4], 50.0, 4000 + 500 * (i % 3)))
-            .collect();
-        for s in &agents {
-            assert_eq!(memo.solo_time_s(&est, s).to_bits(), est.solo_time_s(s).to_bits());
-            for f in &agents {
-                for link in [10.0, 50.0] {
-                    let solo_f = est.solo_time_s(f);
-                    // Ask twice: the second answer comes from the memo.
-                    let direct = est.estimate(s, f, solo_f, link);
-                    for _ in 0..2 {
-                        let memoed = memo.estimate(&est, s, f, solo_f, link);
-                        assert_eq!(memoed.offload, direct.offload);
-                        assert_eq!(memoed.est_time_s.to_bits(), direct.est_time_s.to_bits());
-                    }
-                }
+    /// Line 18 written out on its own: every term recomputed from the two
+    /// agents' states on each call, with the model's training FLOPs summed
+    /// from its layers, independent of the prepared slow side.
+    fn line18(
+        spec: &ModelSpec,
+        profile: &SplitProfile,
+        cal: &CostCalibration,
+        slow: &AgentState,
+        fast: &AgentState,
+        fast_solo_s: f64,
+        link_mbps: f64,
+    ) -> SplitDecision {
+        let flops: f64 = spec.layers().iter().map(LayerSpec::flops_train).sum();
+        let n_i = slow.num_batches() as f64;
+        let p_i = cal.batches_per_s(flops, slow.batch_size, slow.profile.cpus);
+        let p_j = cal.batches_per_s(flops, fast.batch_size, fast.profile.cpus);
+        let link_bytes_s = cal.bytes_per_s(link_mbps);
+        let solo = n_i / p_i;
+
+        let mut best = SplitDecision { est_time_s: solo, offload: 0 };
+        if link_bytes_s <= 0.0 {
+            return best;
+        }
+        for e in profile.iter() {
+            if e.offload == 0 {
+                continue;
             }
+            let slow_arm = if e.t_slow_rel > 0.0 { n_i * e.t_slow_rel / p_i } else { 0.0 };
+            let comm = n_i * e.nu_bytes_per_batch as f64 / link_bytes_s;
+            let fast_arm = fast_solo_s + comm + n_i * e.t_fast_rel / p_j;
+            let t = slow_arm.max(fast_arm);
+            if t < best.est_time_s {
+                best = SplitDecision { est_time_s: t, offload: e.offload };
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `estimate` equals the written-out line 18 bit for bit on
+        /// ResNet-20/56/110, full and restricted profiles, any speeds,
+        /// batch sizes, shares, links (dead ones too) and helper loads. The
+        /// helper's own task is a fraction of the slow agent's, so many
+        /// cases offload and the fast arm decides the result.
+        #[test]
+        fn estimate_is_line_18_bit_for_bit(
+            depth in 0usize..3,
+            cuts in prop::collection::vec(1usize..110, 0..8),
+            restrict in 0usize..2,
+            profile_batch in 16usize..257,
+            cpus in (0.05f64..2.0, 0.5f64..8.0),
+            batches in (1usize..257, 1usize..257),
+            samples in (1usize..20_000, 1usize..20_000),
+            link in (0usize..4, 0.0f64..200.0),
+            load in 0.0f64..1.0,
+        ) {
+            // ResNet-20, -56 or -110.
+            let spec = ModelSpec::resnet_cifar([3, 9, 18][depth], "resnet");
+            let full = SplitProfile::new(&spec, profile_batch);
+            let profile = if restrict == 1 { full.restrict_to(&cuts) } else { full };
+            let cal = CostCalibration::default();
+            let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+            let slow = AgentState::new(
+                AgentId(0), AgentProfile::new(cpus.0, 50.0), samples.0, batches.0,
+            );
+            let fast = AgentState::new(
+                AgentId(1), AgentProfile::new(cpus.1, 50.0), samples.1, batches.1,
+            );
+            // One case in four prices a dead link.
+            let link_mbps = if link.0 == 0 { 0.0 } else { link.1 };
+            let fast_solo_s = load * line18(&spec, &profile, &cal, &slow, &fast, 0.0, 0.0).est_time_s;
+            let want = line18(&spec, &profile, &cal, &slow, &fast, fast_solo_s, link_mbps);
+            let got = est.estimate(&slow, &fast, fast_solo_s, link_mbps);
+            prop_assert_eq!(got.offload, want.offload);
+            prop_assert_eq!(got.est_time_s.to_bits(), want.est_time_s.to_bits());
         }
     }
 

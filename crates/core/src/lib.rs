@@ -57,9 +57,7 @@ mod round;
 mod scheduler;
 
 pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, RoundEngine, RoundInput};
-pub use estimator::{
-    EstimateMemo, FnvBuildHasher, FnvHasher, SplitDecision, TrainingTimeEstimator,
-};
+pub use estimator::{SplitDecision, TrainingTimeEstimator};
 pub use event_round::{
     barrier_round_s, mean_round_s, AggregationMode, Disruption, EventGranularity, EventRound,
     EventRoundReport,

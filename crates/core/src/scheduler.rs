@@ -1,8 +1,10 @@
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use comdml_simnet::{AgentId, AgentState, ByzantineConfig, World};
+use comdml_simnet::{AgentId, AgentIdHasher, AgentMap, AgentState, ByzantineConfig, World};
 
-use crate::{EstimateMemo, FnvBuildHasher, SplitDecision, TrainingTimeEstimator};
+use crate::estimator::SlowSide;
+use crate::{SplitDecision, TrainingTimeEstimator};
 
 /// One scheduling decision: a slow agent, its chosen helper (if any), the
 /// split, and the estimated completion time.
@@ -100,18 +102,26 @@ pub enum PairingOrder {
 /// place.
 ///
 /// A pairing round therefore costs O(n log n) to sort and build, plus
-/// O(G + S log n) per visit for G groups and S skyline members walked.
-/// On the paper's CPU grid S is at most the number of CPU classes. Under a
-/// continuous `cpu_dist` it stays small too: 2,000 lognormal(0, 0.6)
-/// agents take about 2.5 estimates per participant with equal shares and
-/// 8 with skewed ones, against ~590 when every distinct CPU was its own
-/// class. The `pairing.estimates` metrics counter (`comdml_obs`) adds up
-/// the estimates each call asks for.
+/// O(G + S log n) per visit for G groups and S skyline members walked, plus
+/// the estimates. On the paper's CPU grid S is at most the number of CPU
+/// classes. Under a continuous `cpu_dist` it stays small too: 2,000
+/// lognormal(0, 0.6) agents take about 2.5 estimates per participant with
+/// equal shares and 8 with skewed ones, against ~590 when every distinct
+/// CPU was its own class. The `pairing.estimates` metrics counter
+/// (`comdml_obs`) adds up the estimates each call asks for.
+///
+/// A visit prepares the slow agent's side of line 18 once, at its first
+/// estimate, and consecutive visits with the same CPU speed, batch size and
+/// batch count share it. Each estimate then costs two divisions per
+/// candidate split (see [`TrainingTimeEstimator`]), on a full mesh and in
+/// the sparse neighbour scan alike.
 ///
 /// Continuous *link* distributions are not covered. Each distinct uplink
 /// is its own group, because `cᵢⱼ = min(lᵢ, lⱼ)` would make dominance
 /// three-dimensional, so a lognormal(3.2, 0.8) link world still makes
-/// about 625 estimates per participant at 2,000 agents.
+/// about 625 estimates per participant at 2,000 agents. At two divisions
+/// per split that pairing takes about 0.05–0.07 s on six candidate cuts
+/// (2-vCPU VM).
 ///
 /// # Example
 ///
@@ -150,7 +160,7 @@ impl Default for PairingScheduler {
 /// directly, so honest rounds are bit-for-bit unchanged.
 struct Broadcast<'w> {
     world: &'w World,
-    spoofed: HashMap<usize, AgentState, FnvBuildHasher>,
+    spoofed: AgentMap<AgentState>,
 }
 
 impl<'w> Broadcast<'w> {
@@ -159,14 +169,14 @@ impl<'w> Broadcast<'w> {
         misreport: Option<(ByzantineConfig, u64)>,
         participants: &[AgentId],
     ) -> Self {
-        let mut spoofed: HashMap<usize, AgentState, FnvBuildHasher> = HashMap::default();
+        let mut spoofed = AgentMap::default();
         if let Some((b, salt)) = misreport {
             if b.fraction > 0.0 && b.speed_factor != 1.0 {
                 for &id in participants {
                     if b.is_liar(id.0, salt) {
                         let mut a = world.agent(id).clone();
                         a.profile.cpus *= b.speed_factor;
-                        spoofed.insert(id.0, a);
+                        spoofed.insert(id, a);
                     }
                 }
             }
@@ -179,7 +189,7 @@ impl<'w> Broadcast<'w> {
         if self.spoofed.is_empty() {
             return self.world.agent(id);
         }
-        self.spoofed.get(&id.0).unwrap_or_else(|| self.world.agent(id))
+        self.spoofed.get(&id).unwrap_or_else(|| self.world.agent(id))
     }
 }
 
@@ -278,7 +288,8 @@ impl Skyline {
         estimator: &TrainingTimeEstimator<'_>,
     ) -> Self {
         assert!(bcast.world.num_agents() <= u32::MAX as usize, "agent ids must fit in u32");
-        let mut index: HashMap<(u64, bool), u32, FnvBuildHasher> = HashMap::default();
+        let mut index: HashMap<(u64, bool), u32, BuildHasherDefault<AgentIdHasher>> =
+            HashMap::default();
         // `(group, pⱼ, τ̂ⱼ, id, visit index)` of every participant.
         let mut helpers: Vec<(u32, f64, f64, AgentId, usize)> = Vec::with_capacity(order.len());
         for (v, &(id, solo)) in order.iter().enumerate() {
@@ -359,19 +370,16 @@ impl PairingScheduler {
         participants: &[AgentId],
         estimator: &TrainingTimeEstimator<'_>,
     ) -> Vec<Pairing> {
-        let mut memo = EstimateMemo::new();
         let bcast = Broadcast::new(world, self.misreport, participants);
         // Step 1 (line 2): agents broadcast p and τ̂ — compute solo times
         // from the *advertised* states (a liar's τ̂ reflects its lie).
-        let mut order: Vec<(AgentId, f64)> = participants
-            .iter()
-            .map(|&id| (id, memo.solo_time_s(estimator, bcast.agent(id))))
-            .collect();
+        let mut order: Vec<(AgentId, f64)> =
+            participants.iter().map(|&id| (id, estimator.solo_time_s(bcast.agent(id)))).collect();
         // Descending order of task completion time (list A), ties by
         // ascending id. Solo times are never negative or NaN, so
         // `total_cmp` orders them like `partial_cmp`.
         order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        self.pair_ordered(&bcast, &order, estimator, &mut memo)
+        self.pair_ordered(&bcast, &order, estimator)
     }
 
     /// Like [`PairingScheduler::pair`] but with a configurable visit order —
@@ -386,15 +394,14 @@ impl PairingScheduler {
         match order_kind {
             PairingOrder::SlowestFirst => self.pair(world, participants, estimator),
             PairingOrder::ByAgentId => {
-                let mut memo = EstimateMemo::new();
                 let bcast = Broadcast::new(world, self.misreport, participants);
                 let mut sorted = participants.to_vec();
                 sorted.sort();
                 let order: Vec<(AgentId, f64)> = sorted
                     .into_iter()
-                    .map(|id| (id, memo.solo_time_s(estimator, bcast.agent(id))))
+                    .map(|id| (id, estimator.solo_time_s(bcast.agent(id))))
                     .collect();
-                self.pair_ordered(&bcast, &order, estimator, &mut memo)
+                self.pair_ordered(&bcast, &order, estimator)
             }
         }
     }
@@ -406,7 +413,6 @@ impl PairingScheduler {
         bcast: &Broadcast<'_>,
         order: &[(AgentId, f64)],
         estimator: &TrainingTimeEstimator<'_>,
-        memo: &mut EstimateMemo,
     ) -> Vec<Pairing> {
         let world = bcast.world;
         // The available helpers. A full mesh keeps them in the skyline; the
@@ -427,12 +433,14 @@ impl PairingScheduler {
         // Guest counts of helpers below capacity. Such a helper is still a
         // candidate but is never visited as a slow agent. Stays empty at
         // capacity 1, where the first guest fills a helper.
-        let mut hosting: HashMap<usize, usize, FnvBuildHasher> = HashMap::default();
+        let mut hosting: AgentMap<usize> = AgentMap::default();
         let mut estimates = 0u64;
+        // The visiting agent's side of line 18, filled at its first estimate.
+        let mut side = SlowSide::default();
 
         let mut out = Vec::with_capacity(order.len());
         for (v, &(i, solo_i)) in order.iter().enumerate() {
-            if hosting.contains_key(&i.0) {
+            if hosting.contains_key(&i) {
                 continue;
             }
             // A visit takes i off the candidates; an agent already
@@ -445,6 +453,14 @@ impl PairingScheduler {
                 continue;
             }
             let slow_state = bcast.agent(i);
+            let mut prepared = false;
+            let mut price = |j: AgentId, solo_j: f64, link: f64| {
+                if !std::mem::replace(&mut prepared, true) {
+                    estimator.prepare(slow_state, &mut side);
+                }
+                estimates += 1;
+                estimator.price(&side, bcast.agent(j), solo_j, link)
+            };
             let mut best_time = solo_i;
             // The winner, with its `(group, leaf)` on a full mesh.
             let mut best: Option<(AgentId, SplitDecision, (u32, u32))> = None;
@@ -469,8 +485,7 @@ impl PairingScheduler {
                         if link <= 0.0 {
                             break;
                         }
-                        estimates += 1;
-                        let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
+                        let d = price(j, solo_j, link);
                         let key = (d.est_time_s, solo_j, j.0);
                         if d.offload > 0 && d.est_time_s < solo_i && key < best_key {
                             best_key = key;
@@ -501,8 +516,7 @@ impl PairingScheduler {
                     if link <= 0.0 {
                         continue;
                     }
-                    estimates += 1;
-                    let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
+                    let d = price(j, solo_j, link);
                     if d.offload > 0 && d.est_time_s < best_time {
                         best_time = d.est_time_s;
                         best = Some((j, d, (0, 0)));
@@ -522,7 +536,7 @@ impl PairingScheduler {
                 est_time_s: d.est_time_s,
             });
             let full = self.capacity == 1 || {
-                let guests = hosting.entry(j.0).or_insert(0);
+                let guests = hosting.entry(j).or_insert(0);
                 *guests += 1;
                 *guests == self.capacity
             };

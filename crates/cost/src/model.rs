@@ -25,6 +25,10 @@ pub struct ModelSpec {
     layers: Vec<LayerSpec>,
     num_classes: usize,
     input_elems: usize,
+    /// Whole-model totals, summed once here because the estimator reads
+    /// them for every agent it prices.
+    train_flops: f64,
+    params: usize,
 }
 
 impl ModelSpec {
@@ -41,7 +45,9 @@ impl ModelSpec {
         input_elems: usize,
     ) -> Self {
         assert!(!layers.is_empty(), "a model needs at least one weighted layer");
-        Self { name: name.into(), layers, num_classes, input_elems }
+        let train_flops = layers.iter().map(LayerSpec::flops_train).sum();
+        let params = layers.iter().map(|l| l.params).sum();
+        Self { name: name.into(), layers, num_classes, input_elems, train_flops, params }
     }
 
     /// The CIFAR-style ResNet-56: stem conv + 3 stages × 9 basic blocks
@@ -172,12 +178,12 @@ impl ModelSpec {
 
     /// Training (forward + backward) FLOPs for one sample.
     pub fn train_flops_per_sample(&self) -> f64 {
-        self.layers.iter().map(LayerSpec::flops_train).sum()
+        self.train_flops
     }
 
     /// Total trainable parameters.
     pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.params).sum()
+        self.params
     }
 
     /// Model payload in bytes when exchanged as `f32`s — the `b` in the
@@ -367,6 +373,24 @@ mod tests {
         assert_eq!(spec.num_weighted_layers(), 2);
         assert_eq!(spec.num_classes(), 10);
         assert_eq!(spec.input_elems(), 32);
+    }
+
+    #[test]
+    fn cached_totals_equal_the_layer_sums() {
+        let specs = [
+            ModelSpec::resnet20(),
+            ModelSpec::resnet56(),
+            ModelSpec::resnet110(),
+            ModelSpec::bert_base(128, 2),
+            ModelSpec::mlp("m", &[32, 64, 10]),
+        ];
+        for spec in specs {
+            let flops: f64 = spec.layers().iter().map(LayerSpec::flops_train).sum();
+            let params: usize = spec.layers().iter().map(|l| l.params).sum();
+            let name = spec.name();
+            assert_eq!(spec.train_flops_per_sample().to_bits(), flops.to_bits(), "{name}");
+            assert_eq!(spec.num_params(), params, "{name}");
+        }
     }
 
     #[test]

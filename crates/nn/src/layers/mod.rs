@@ -1,19 +1,11 @@
-mod batchnorm;
 mod conv2d;
 mod dense;
-mod dropout;
 mod flatten;
-mod maxpool;
 mod pool;
 mod relu;
-mod residual;
 
-pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use maxpool::MaxPool2d;
 pub use pool::{AvgPool2d, GlobalAvgPool};
 pub use relu::Relu;
-pub use residual::Residual;

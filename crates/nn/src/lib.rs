@@ -47,10 +47,7 @@ mod trainer;
 pub use error::NnError;
 pub use init::he_std;
 pub use layer::Layer;
-pub use layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, MaxPool2d, Relu,
-    Residual,
-};
+pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, GlobalAvgPool, Relu};
 pub use loss::CrossEntropyLoss;
 pub use sequential::Sequential;
 pub use split::{AuxHead, LocalLossSplit, SgdPair, SplitLosses};

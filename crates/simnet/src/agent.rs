@@ -32,7 +32,9 @@ pub type AgentMap<V> = HashMap<AgentId, V, BuildHasherDefault<AgentIdHasher>>;
 /// A one-multiply hash for agent ids (the FxHash step). Ids are dense
 /// integers chosen by the simulation, not by an adversary, so SipHash's
 /// flooding resistance buys nothing on per-round paths such as the carried
-/// head starts, while its cost shows at a 10k-agent cohort.
+/// head starts, while its cost shows at a 10k-agent cohort. The pairing
+/// scheduler also keys its link-class index, `(link bits, isolated)`, with
+/// it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AgentIdHasher(u64);
 
@@ -55,6 +57,10 @@ impl Hasher for AgentIdHasher {
 
     fn write_usize(&mut self, n: usize) {
         self.add(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
     }
 }
 
