@@ -1,5 +1,5 @@
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml_simnet::AgentState;
+use comdml_simnet::{AgentId, AgentState};
 
 /// The outcome of evaluating all candidate splits for one (slow, fast) pair:
 /// the best estimated round time and the split that achieves it.
@@ -32,9 +32,11 @@ pub struct SplitDecision {
 /// # Cost
 ///
 /// The scheduler prices one slow agent against many helpers, so the
-/// estimator splits line 18 at the helper. Per slow agent it computes, once,
-/// `Ñᵢ/pᵢ` and for every split `Ñᵢ·Tₛᵐ/pᵢ`, `Ñᵢ·νₘ` and `Ñᵢ·T_fᵐ`; per
-/// helper a split then costs `(τ̂ⱼ + Ñᵢνₘ/cᵢⱼ) + Ñᵢ·T_fᵐ/pⱼ`, two divisions.
+/// estimator splits line 18 at the helper. Speeds and solo times come from
+/// each agent's broadcast, computed once per pairing call. Per slow agent
+/// the estimator computes, once, `Ñᵢ·Tₛᵐ/pᵢ`, `Ñᵢ·νₘ` and `Ñᵢ·T_fᵐ` for
+/// every split; per helper a split then costs
+/// `(τ̂ⱼ + Ñᵢνₘ/cᵢⱼ) + Ñᵢ·T_fᵐ/pⱼ`, two divisions.
 /// Those are the operations a direct evaluation performs, in the same order,
 /// so every estimate is bit for bit what line 18 gives. The model's training
 /// FLOPs, which set every `p`, are summed once when its [`ModelSpec`] is
@@ -95,6 +97,17 @@ impl<'a> TrainingTimeEstimator<'a> {
         solo_time_s(self.spec, self.cal, agent)
     }
 
+    /// What `agent` broadcasts each round (Algorithm 1, line 2): its speed
+    /// `p` and solo time `τ̂ = Ñ / p`, computed once. `p` is
+    /// [`TrainingTimeEstimator::batches_per_s`] and `τ̂` is
+    /// [`TrainingTimeEstimator::solo_time_s`], bit for bit: the same IEEE
+    /// operations in the same order.
+    pub(crate) fn broadcast(&self, agent: &AgentState) -> Broadcast {
+        let batches = agent.num_batches();
+        let p = self.batches_per_s(agent);
+        Broadcast { id: agent.id, p, solo_s: batches as f64 / p, batches }
+    }
+
     /// Evaluates all splits for slow agent `i` offloading to fast agent `j`
     /// whose own task takes `fast_solo_s`, over a `link_mbps` link.
     ///
@@ -109,23 +122,21 @@ impl<'a> TrainingTimeEstimator<'a> {
         link_mbps: f64,
     ) -> SplitDecision {
         let mut side = SlowSide::default();
-        self.prepare(slow, &mut side);
-        self.price(&side, fast, fast_solo_s, link_mbps)
+        self.prepare(&self.broadcast(slow), &mut side);
+        self.price(&side, self.batches_per_s(fast), fast_solo_s, link_mbps)
     }
 
     /// Fills `side` with the terms of line 18 that depend only on the slow
-    /// agent, reusing its buffer. A side already holding an agent with the
-    /// same CPU speed, batch size and batch count is left as it is: its
-    /// terms are the same.
-    pub(crate) fn prepare(&self, slow: &AgentState, side: &mut SlowSide) {
-        let key = (slow.profile.cpus.to_bits(), slow.batch_size, slow.num_batches());
+    /// agent's broadcast, reusing its buffer. Those terms read only `Ñᵢ`
+    /// and `pᵢ`, so a side already holding them is left as it is.
+    pub(crate) fn prepare(&self, slow: &Broadcast, side: &mut SlowSide) {
+        let key = (slow.p.to_bits(), slow.batches);
         if side.key == Some(key) {
             return;
         }
         side.key = Some(key);
-        let n_i = slow.num_batches() as f64;
-        let p_i = self.batches_per_s(slow);
-        side.solo_s = n_i / p_i;
+        let (n_i, p_i) = (slow.batches as f64, slow.p);
+        side.solo_s = slow.solo_s;
         side.splits.clear();
         // Lines 16-17: convert full-model speeds into split-side speeds.
         side.splits.extend(self.profile.iter().filter(|e| e.offload > 0).map(|e| SlowSplit {
@@ -137,11 +148,11 @@ impl<'a> TrainingTimeEstimator<'a> {
     }
 
     /// [`TrainingTimeEstimator::estimate`] for a slow agent already
-    /// [`prepare`](Self::prepare)d into `side`.
+    /// [`prepare`](Self::prepare)d into `side` and a helper of speed `p_j`.
     pub(crate) fn price(
         &self,
         side: &SlowSide,
-        fast: &AgentState,
+        p_j: f64,
         fast_solo_s: f64,
         link_mbps: f64,
     ) -> SplitDecision {
@@ -150,7 +161,6 @@ impl<'a> TrainingTimeEstimator<'a> {
         if link_bytes_s <= 0.0 {
             return best;
         }
-        let p_j = self.batches_per_s(fast);
         for s in &side.splits {
             // Line 18: parallel arms.
             let fast_arm = fast_solo_s + s.bytes / link_bytes_s + s.fast_batches / p_j;
@@ -163,12 +173,26 @@ impl<'a> TrainingTimeEstimator<'a> {
     }
 }
 
+/// One agent's round broadcast (Algorithm 1, line 2), from
+/// [`TrainingTimeEstimator::broadcast`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Broadcast {
+    /// The broadcasting agent.
+    pub id: AgentId,
+    /// Full-model speed `p` in batches per second.
+    pub p: f64,
+    /// Solo training time `τ̂ = Ñ / p` in seconds.
+    pub solo_s: f64,
+    /// Local batches `Ñ`.
+    pub batches: usize,
+}
+
 /// The helper-independent terms of line 18 for one slow agent `i`: built
 /// once per visit, then priced against every candidate helper.
 #[derive(Debug, Default)]
 pub(crate) struct SlowSide {
-    /// `(cpus bits, batch size, batches)` of the agent the terms belong to.
-    key: Option<(u64, usize, usize)>,
+    /// `(pᵢ bits, Ñᵢ)` of the broadcast the terms belong to.
+    key: Option<(u64, usize)>,
     /// `Ñᵢ / pᵢ`, training alone.
     solo_s: f64,
     /// One entry per offloading split, in profile order.
@@ -362,6 +386,32 @@ mod tests {
             let got = est.estimate(&slow, &fast, fast_solo_s, link_mbps);
             prop_assert_eq!(got.offload, want.offload);
             prop_assert_eq!(got.est_time_s.to_bits(), want.est_time_s.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// An agent's broadcast is what the per-agent accessors give, bit
+        /// for bit: `p` is `batches_per_s`, `τ̂` is `solo_time_s`.
+        #[test]
+        fn broadcast_is_batches_per_s_and_solo_time_bit_for_bit(
+            depth in 0usize..3,
+            id in 0usize..1_000_000,
+            cpus in 0.01f64..16.0,
+            batch in 1usize..513,
+            samples in 0usize..100_000,
+        ) {
+            let spec = ModelSpec::resnet_cifar([3, 9, 18][depth], "resnet");
+            let profile = SplitProfile::new(&spec, 100);
+            let cal = CostCalibration::default();
+            let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+            let a = AgentState::new(AgentId(id), AgentProfile::new(cpus, 50.0), samples, batch);
+            let b = est.broadcast(&a);
+            prop_assert_eq!(b.id, a.id);
+            prop_assert_eq!(b.batches, a.num_batches());
+            prop_assert_eq!(b.p.to_bits(), est.batches_per_s(&a).to_bits());
+            prop_assert_eq!(b.solo_s.to_bits(), est.solo_time_s(&a).to_bits());
         }
     }
 

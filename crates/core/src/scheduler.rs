@@ -1,9 +1,10 @@
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use comdml_simnet::{AgentId, AgentIdHasher, AgentMap, AgentState, ByzantineConfig, World};
+use comdml_simnet::{AgentId, AgentIdHasher, AgentMap, ByzantineConfig, World};
 
-use crate::estimator::SlowSide;
+use crate::estimator::{Broadcast, SlowSide};
 use crate::{SplitDecision, TrainingTimeEstimator};
 
 /// One scheduling decision: a slow agent, its chosen helper (if any), the
@@ -101,6 +102,14 @@ pub enum PairingOrder {
 /// full helpers leave their tree; a loaded helper's `τ̂ⱼ` is updated in
 /// place.
 ///
+/// Each participant's broadcast — `p`, `τ̂` and its batch count — is
+/// computed once per call, as Algorithm 1 has each agent broadcast once per
+/// round. The visit order, the skyline leaves (each keeps its `pⱼ`), the
+/// slow side of line 18 and every estimate read that one record. Speeds,
+/// solo times and estimates are never negative or NaN, so their IEEE bit
+/// patterns order like the values: both sorts compare integer keys, and
+/// tree nodes pack `(τ̂ⱼ, id, leaf)` into one integer.
+///
 /// A pairing round therefore costs O(n log n) to sort and build, plus
 /// O(G + S log n) per visit for G groups and S skyline members walked, plus
 /// the estimates. On the paper's CPU grid S is at most the number of CPU
@@ -111,10 +120,10 @@ pub enum PairingOrder {
 /// (`comdml_obs`) adds up the estimates each call asks for.
 ///
 /// A visit prepares the slow agent's side of line 18 once, at its first
-/// estimate, and consecutive visits with the same CPU speed, batch size and
-/// batch count share it. Each estimate then costs two divisions per
-/// candidate split (see [`TrainingTimeEstimator`]), on a full mesh and in
-/// the sparse neighbour scan alike.
+/// estimate, and consecutive visits with the same speed and batch count
+/// share it. Each estimate then costs two divisions per candidate split
+/// (see [`TrainingTimeEstimator`]), on a full mesh and in the sparse
+/// neighbour scan alike.
 ///
 /// Continuous *link* distributions are not covered. Each distinct uplink
 /// is its own group, because `cᵢⱼ = min(lᵢ, lⱼ)` would make dominance
@@ -154,52 +163,22 @@ impl Default for PairingScheduler {
     }
 }
 
-/// The pairing broadcast as the scheduler sees it: true agent states with
-/// each liar's advertised state substituted. With no misreport configured
-/// the spoof table is empty and every lookup returns the world's state
-/// directly, so honest rounds are bit-for-bit unchanged.
-struct Broadcast<'w> {
-    world: &'w World,
-    spoofed: AgentMap<AgentState>,
-}
-
-impl<'w> Broadcast<'w> {
-    fn new(
-        world: &'w World,
-        misreport: Option<(ByzantineConfig, u64)>,
-        participants: &[AgentId],
-    ) -> Self {
-        let mut spoofed = AgentMap::default();
-        if let Some((b, salt)) = misreport {
-            if b.fraction > 0.0 && b.speed_factor != 1.0 {
-                for &id in participants {
-                    if b.is_liar(id.0, salt) {
-                        let mut a = world.agent(id).clone();
-                        a.profile.cpus *= b.speed_factor;
-                        spoofed.insert(id, a);
-                    }
-                }
-            }
-        }
-        Self { world, spoofed }
-    }
-
-    /// The state agent `id` broadcast — advertised for liars, true otherwise.
-    fn agent(&self, id: AgentId) -> &AgentState {
-        if self.spoofed.is_empty() {
-            return self.world.agent(id);
-        }
-        self.spoofed.get(&id).unwrap_or_else(|| self.world.agent(id))
-    }
-}
-
-/// An available helper in a [`Group`] tree: `(τ̂ⱼ bits, id, leaf)`. Solo
-/// times and estimates are never negative or NaN, so the bit patterns
-/// order like the values and the derived tuple order is `(τ̂ⱼ, id)`.
-type Helper = (u64, u32, u32);
+/// An available helper in a [`Group`] tree: `τ̂ⱼ bits << 64 | id << 32 |
+/// leaf`, so one integer comparison is the `(τ̂ⱼ, id)` order.
+type Helper = u128;
 
 /// A removed leaf; sorts after every real helper.
-const GONE: Helper = (u64::MAX, u32::MAX, u32::MAX);
+const GONE: Helper = u128::MAX;
+
+/// The [`Helper`] for helper `id` at `leaf`, busy for `solo` seconds.
+fn helper(solo: f64, id: u32, leaf: u32) -> Helper {
+    (solo.to_bits() as u128) << 64 | (id as u128) << 32 | leaf as u128
+}
+
+/// `(τ̂ⱼ, id, leaf)` of a [`Helper`].
+fn unpack(h: Helper) -> (f64, u32, u32) {
+    (f64::from_bits((h >> 64) as u64), (h >> 32) as u32, h as u32)
+}
 
 /// One full-mesh candidate group: the available helpers that share a link
 /// class and a partition side, in a min tree over `(τ̂ⱼ, id)` whose leaves
@@ -208,20 +187,22 @@ struct Group {
     /// Bottom-up segment tree: leaves at `[n, 2n)`, node `x` holds the
     /// minimum of nodes `2x` and `2x + 1`, so node 1 is the group minimum.
     tree: Vec<Helper>,
+    /// The broadcast `pⱼ` of the helper at each leaf.
+    speed: Vec<f64>,
     /// Lowest leaf still present; every leaf left of it is [`GONE`], so a
     /// walk that reaches it has exhausted the skyline in O(1).
     first: usize,
 }
 
 impl Group {
-    fn new(leaves: &[Helper]) -> Self {
+    fn new(leaves: &[Helper], speed: Vec<f64>) -> Self {
         let n = leaves.len();
         let mut tree = vec![GONE; n];
         tree.extend_from_slice(leaves);
         for x in (1..n).rev() {
             tree[x] = tree[2 * x].min(tree[2 * x + 1]);
         }
-        Self { tree, first: 0 }
+        Self { tree, speed, first: 0 }
     }
 
     fn leaves(&self) -> usize {
@@ -282,37 +263,33 @@ struct Skyline {
 }
 
 impl Skyline {
-    fn new(
-        bcast: &Broadcast<'_>,
-        order: &[(AgentId, f64)],
-        estimator: &TrainingTimeEstimator<'_>,
-    ) -> Self {
-        assert!(bcast.world.num_agents() <= u32::MAX as usize, "agent ids must fit in u32");
+    fn new(world: &World, order: &[Broadcast]) -> Self {
+        assert!(world.num_agents() <= u32::MAX as usize, "agent ids must fit in u32");
         let mut index: HashMap<(u64, bool), u32, BuildHasherDefault<AgentIdHasher>> =
             HashMap::default();
-        // `(group, pⱼ, τ̂ⱼ, id, visit index)` of every participant.
-        let mut helpers: Vec<(u32, f64, f64, AgentId, usize)> = Vec::with_capacity(order.len());
-        for (v, &(id, solo)) in order.iter().enumerate() {
-            let agent = bcast.agent(id);
-            let key = (agent.profile.link_mbps.to_bits(), bcast.world.isolated(id));
+        // `(group, pⱼ, τ̂ⱼ, id, visit index)` of every participant, keyed
+        // to sort by group, fastest first. Exactness needs only the speed
+        // order; equal speeds by (τ̂ⱼ, id) keep dominated ties off the walk.
+        let mut helpers: Vec<(u32, Reverse<u64>, u64, AgentId, usize)> =
+            Vec::with_capacity(order.len());
+        for (v, b) in order.iter().enumerate() {
+            let key = (world.agent(b.id).profile.link_mbps.to_bits(), world.isolated(b.id));
             let next = index.len() as u32;
             let g = *index.entry(key).or_insert(next);
-            helpers.push((g, estimator.batches_per_s(agent), solo, id, v));
+            helpers.push((g, Reverse(b.p.to_bits()), b.solo_s.to_bits(), b.id, v));
         }
-        // By group, fastest first. Exactness needs only the speed order;
-        // equal speeds by (τ̂ⱼ, id) keep dominated ties off the walk.
-        helpers.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)).then(a.2.total_cmp(&b.2)).then(a.3.cmp(&b.3))
-        });
+        helpers.sort_unstable();
         let mut slot = vec![(0, 0); order.len()];
         let mut groups = Vec::new();
         for members in helpers.chunk_by(|a, b| a.0 == b.0) {
             let mut leaves = Vec::with_capacity(members.len());
-            for (leaf, &(g, _, solo, id, v)) in members.iter().enumerate() {
+            let mut speed = Vec::with_capacity(members.len());
+            for (leaf, &(g, _, _, id, v)) in members.iter().enumerate() {
                 slot[v] = (g, leaf as u32);
-                leaves.push((solo.to_bits(), id.0 as u32, leaf as u32));
+                leaves.push(helper(order[v].solo_s, id.0 as u32, leaf as u32));
+                speed.push(order[v].p);
             }
-            groups.push(Group::new(&leaves));
+            groups.push(Group::new(&leaves, speed));
         }
         Self { groups, slot }
     }
@@ -370,16 +347,11 @@ impl PairingScheduler {
         participants: &[AgentId],
         estimator: &TrainingTimeEstimator<'_>,
     ) -> Vec<Pairing> {
-        let bcast = Broadcast::new(world, self.misreport, participants);
-        // Step 1 (line 2): agents broadcast p and τ̂ — compute solo times
-        // from the *advertised* states (a liar's τ̂ reflects its lie).
-        let mut order: Vec<(AgentId, f64)> =
-            participants.iter().map(|&id| (id, estimator.solo_time_s(bcast.agent(id)))).collect();
+        let mut order = self.broadcasts(world, participants, estimator);
         // Descending order of task completion time (list A), ties by
-        // ascending id. Solo times are never negative or NaN, so
-        // `total_cmp` orders them like `partial_cmp`.
-        order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        self.pair_ordered(&bcast, &order, estimator)
+        // ascending id.
+        order.sort_unstable_by_key(|b| (Reverse(b.solo_s.to_bits()), b.id));
+        self.pair_ordered(world, &order, estimator)
     }
 
     /// Like [`PairingScheduler::pair`] but with a configurable visit order —
@@ -394,40 +366,57 @@ impl PairingScheduler {
         match order_kind {
             PairingOrder::SlowestFirst => self.pair(world, participants, estimator),
             PairingOrder::ByAgentId => {
-                let bcast = Broadcast::new(world, self.misreport, participants);
-                let mut sorted = participants.to_vec();
-                sorted.sort();
-                let order: Vec<(AgentId, f64)> = sorted
-                    .into_iter()
-                    .map(|id| (id, estimator.solo_time_s(bcast.agent(id))))
-                    .collect();
-                self.pair_ordered(&bcast, &order, estimator)
+                let mut order = self.broadcasts(world, participants, estimator);
+                order.sort_by_key(|b| b.id);
+                self.pair_ordered(world, &order, estimator)
             }
         }
+    }
+
+    /// Step 1 (line 2): every participant broadcasts `p` and `τ̂`, computed
+    /// once per call from its *advertised* state, so a liar's `p` and `τ̂`
+    /// reflect its lie. Honest agents broadcast their true state, so with
+    /// no misreport configured every round is bit-for-bit the honest one.
+    fn broadcasts(
+        &self,
+        world: &World,
+        participants: &[AgentId],
+        estimator: &TrainingTimeEstimator<'_>,
+    ) -> Vec<Broadcast> {
+        let liars = self.misreport.filter(|(b, _)| b.fraction > 0.0 && b.speed_factor != 1.0);
+        participants
+            .iter()
+            .map(|&id| match liars {
+                Some((b, salt)) if b.is_liar(id.0, salt) => {
+                    let mut lie = world.agent(id).clone();
+                    lie.profile.cpus *= b.speed_factor;
+                    estimator.broadcast(&lie)
+                }
+                _ => estimator.broadcast(world.agent(id)),
+            })
+            .collect()
     }
 
     /// The shared pairing loop: visits agents in the given order, finding
     /// each unscheduled one its best available partner.
     fn pair_ordered(
         &self,
-        bcast: &Broadcast<'_>,
-        order: &[(AgentId, f64)],
+        world: &World,
+        order: &[Broadcast],
         estimator: &TrainingTimeEstimator<'_>,
     ) -> Vec<Pairing> {
-        let world = bcast.world;
         // The available helpers. A full mesh keeps them in the skyline; the
         // sparse scan reads, by id, `paired[x]` (x cannot be a helper: not a
-        // participant, already visited, or full) and `solo_of[x]` (x's
-        // current τ̂).
-        let mut skyline =
-            world.adjacency().is_full_mesh().then(|| Skyline::new(bcast, order, estimator));
-        let (mut paired, mut solo_of) = (Vec::new(), Vec::new());
+        // participant, already visited, or full) and `helper_of[x]` (x's
+        // current τ̂ and its p).
+        let mut skyline = world.adjacency().is_full_mesh().then(|| Skyline::new(world, order));
+        let (mut paired, mut helper_of) = (Vec::new(), Vec::new());
         if skyline.is_none() {
             paired = vec![true; world.num_agents()];
-            solo_of = vec![f64::INFINITY; world.num_agents()];
-            for &(id, solo) in order {
-                paired[id.0] = false;
-                solo_of[id.0] = solo;
+            helper_of = vec![(f64::INFINITY, 0.0); world.num_agents()];
+            for b in order {
+                paired[b.id.0] = false;
+                helper_of[b.id.0] = (b.solo_s, b.p);
             }
         }
         // Guest counts of helpers below capacity. Such a helper is still a
@@ -439,7 +428,8 @@ impl PairingScheduler {
         let mut side = SlowSide::default();
 
         let mut out = Vec::with_capacity(order.len());
-        for (v, &(i, solo_i)) in order.iter().enumerate() {
+        for (v, slow) in order.iter().enumerate() {
+            let (i, solo_i) = (slow.id, slow.solo_s);
             if hosting.contains_key(&i) {
                 continue;
             }
@@ -452,14 +442,13 @@ impl PairingScheduler {
             if !available {
                 continue;
             }
-            let slow_state = bcast.agent(i);
             let mut prepared = false;
-            let mut price = |j: AgentId, solo_j: f64, link: f64| {
+            let mut price = |p_j: f64, solo_j: f64, link: f64| {
                 if !std::mem::replace(&mut prepared, true) {
-                    estimator.prepare(slow_state, &mut side);
+                    estimator.prepare(slow, &mut side);
                 }
                 estimates += 1;
-                estimator.price(&side, bcast.agent(j), solo_j, link)
+                estimator.price(&side, p_j, solo_j, link)
             };
             let mut best_time = solo_i;
             // The winner, with its `(group, leaf)` on a full mesh.
@@ -472,10 +461,10 @@ impl PairingScheduler {
                 for (g, group) in sky.groups.iter().enumerate() {
                     let mut link = None;
                     let mut next = group.min();
-                    while let Some((solo_bits, id, leaf)) = next {
+                    while let Some(h) = next {
+                        let (solo_j, id, leaf) = unpack(h);
                         // Exact prune: the fast arm is at least τ̂ⱼ, and the
                         // rest of the walk is busier still.
-                        let solo_j = f64::from_bits(solo_bits);
                         if solo_j >= best_time {
                             break;
                         }
@@ -485,7 +474,7 @@ impl PairingScheduler {
                         if link <= 0.0 {
                             break;
                         }
-                        let d = price(j, solo_j, link);
+                        let d = price(group.speed[leaf as usize], solo_j, link);
                         let key = (d.est_time_s, solo_j, j.0);
                         if d.offload > 0 && d.est_time_s < solo_i && key < best_key {
                             best_key = key;
@@ -502,8 +491,8 @@ impl PairingScheduler {
                     .adjacency()
                     .neighbors_iter(i.0)
                     .map(AgentId)
-                    .filter(|&j| !paired[j.0] && solo_of[j.0].is_finite())
-                    .map(|j| (solo_of[j.0], j))
+                    .filter(|&j| !paired[j.0] && helper_of[j.0].0.is_finite())
+                    .map(|j| (helper_of[j.0].0, j))
                     .collect();
                 neighbors.sort_by(|a, b| {
                     a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
@@ -516,7 +505,7 @@ impl PairingScheduler {
                     if link <= 0.0 {
                         continue;
                     }
-                    let d = price(j, solo_j, link);
+                    let d = price(helper_of[j.0].1, solo_j, link);
                     if d.offload > 0 && d.est_time_s < best_time {
                         best_time = d.est_time_s;
                         best = Some((j, d, (0, 0)));
@@ -546,10 +535,10 @@ impl PairingScheduler {
             match (&mut skyline, full) {
                 (Some(sky), true) => sky.groups[g as usize].remove(leaf),
                 (Some(sky), false) => {
-                    sky.groups[g as usize].set(leaf, (loaded.to_bits(), j.0 as u32, leaf))
+                    sky.groups[g as usize].set(leaf, helper(loaded, j.0 as u32, leaf))
                 }
                 (None, true) => paired[j.0] = true,
-                (None, false) => solo_of[j.0] = loaded,
+                (None, false) => helper_of[j.0].0 = loaded,
             }
         }
         comdml_obs::counter_add("pairing.estimates", estimates);

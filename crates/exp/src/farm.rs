@@ -1021,9 +1021,17 @@ impl WorkerTelemetry {
 ///
 /// Connection and protocol failures, described.
 pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, String> {
+    let threads = if opts.threads == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        opts.threads
+    };
     let sock = TcpStream::connect(addr).map_err(|e| wire_err(addr, e))?;
     let mut reader = FramedStream::new(sock);
-    let proto = reader.handshake().map_err(|e| wire_err("handshake", e))?;
+    // The hello rides behind our `Version`: registration costs one round
+    // trip, not two.
+    let hello = Message::WorkerHello { name: opts.name.clone(), threads: threads as u32 };
+    let proto = reader.handshake_with(&hello).map_err(|e| wire_err("handshake", e))?;
     // Split the connection: this thread reads grants; pool threads, the
     // heartbeat thread and the request path share the write half.
     let writer = Arc::new(Mutex::new(reader.try_clone().map_err(|e| wire_err("clone stream", e))?));
@@ -1034,12 +1042,6 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Str
             .send(msg)
             .map_err(|e| wire_err("send", e))
     };
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        opts.threads
-    };
-    send(&Message::WorkerHello { name: opts.name.clone(), threads: threads as u32 })?;
     let worker_id = match reader.recv().map_err(|e| wire_err("recv", e))? {
         Message::WorkerWelcome { worker_id } => worker_id,
         Message::FarmError { detail } => return Err(detail),

@@ -416,32 +416,34 @@ impl SweepRunner {
         let total = source.len();
         let results: Vec<Mutex<Option<JobResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
         let workers = self.threads.min(total.max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // The shared queue: an idle worker steals the next
-                    // unclaimed entry.
-                    while let Some((pos, global, job)) = source.claim() {
-                        let timer = comdml_obs::phase("job.run");
-                        let result = run_job(&spec.scenarios[job.scenario], job.method, job.seed);
-                        drop(timer);
-                        comdml_obs::counter_add("sweep.jobs", 1);
-                        comdml_obs::trace_event(
-                            "job",
-                            vec![
-                                ("scenario", Value::Str(result.scenario.clone())),
-                                ("method", Value::Str(job.method.token().to_string())),
-                                ("seed", Value::Num(job.seed as f64)),
-                                ("rounds_run", Value::Num(result.rounds_run as f64)),
-                                ("sim_s", Value::Num(result.sim_s)),
-                                ("reached", Value::Bool(result.reached_target)),
-                            ],
-                        );
-                        on_done(global, &result);
-                        *results[pos].lock().expect("no poisoned result slot") = Some(result);
-                    }
-                });
+        // The shared queue: an idle worker steals the next unclaimed entry.
+        let work = || {
+            while let Some((pos, global, job)) = source.claim() {
+                let timer = comdml_obs::phase("job.run");
+                let result = run_job(&spec.scenarios[job.scenario], job.method, job.seed);
+                drop(timer);
+                comdml_obs::counter_add("sweep.jobs", 1);
+                comdml_obs::trace_event(
+                    "job",
+                    vec![
+                        ("scenario", Value::Str(result.scenario.clone())),
+                        ("method", Value::Str(job.method.token().to_string())),
+                        ("seed", Value::Num(job.seed as f64)),
+                        ("rounds_run", Value::Num(result.rounds_run as f64)),
+                        ("sim_s", Value::Num(result.sim_s)),
+                        ("reached", Value::Bool(result.reached_target)),
+                    ],
+                );
+                on_done(global, &result);
+                *results[pos].lock().expect("no poisoned result slot") = Some(result);
             }
+        };
+        // The caller is one of the workers, so a one-thread pool spawns none.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         results.into_iter().map(|m| m.into_inner().expect("no poisoned slot")).collect()
     }

@@ -7,6 +7,7 @@
 //! hard [`NetError`]. Use [`FramedStream::handshake`] right after
 //! connecting to agree on a protocol revision.
 
+use std::io::Write;
 use std::net::TcpStream;
 
 use crate::frame::{read_frame, write_frame, NetError, PROTOCOL_VERSION};
@@ -901,6 +902,30 @@ impl FramedStream {
     /// is not `Version`, or any send/receive error.
     pub fn handshake(&mut self) -> Result<u16, NetError> {
         self.send(&Message::Version { proto: PROTOCOL_VERSION })?;
+        self.recv_version()
+    }
+
+    /// [`FramedStream::handshake`] for a peer with something to say
+    /// first: writes our `Version` frame and `first` right behind it, in
+    /// one write, then receives the peer's `Version`. The peer's reply to
+    /// `first` is the next [`FramedStream::recv`], so no round trip is
+    /// spent between the handshake and the first request.
+    ///
+    /// # Errors
+    ///
+    /// As [`FramedStream::handshake`].
+    pub fn handshake_with(&mut self, first: &Message) -> Result<u16, NetError> {
+        let mut frames = Vec::new();
+        for msg in [&Message::Version { proto: PROTOCOL_VERSION }, first] {
+            write_frame(&mut frames, msg.kind(), &msg.encode_body())?;
+        }
+        self.stream.write_all(&frames)?;
+        self.recv_version()
+    }
+
+    /// Receives the peer's `Version`, records it and returns the
+    /// negotiated (minimum) revision.
+    fn recv_version(&mut self) -> Result<u16, NetError> {
         let Message::Version { proto } = self.expect("Version")? else {
             unreachable!("expect checked the variant")
         };

@@ -1,3 +1,5 @@
+use std::collections::VecDeque;
+
 use crate::EventQueue;
 
 /// Typed events of the ComDML discrete-event simulation.
@@ -121,13 +123,35 @@ pub struct AgentTimeline {
 /// assert_eq!(driver.now(), 1.5);
 /// assert!(driver.timeline(0).done);
 /// ```
+///
+/// # The same-instant lane
+///
+/// Many follow-ups happen at the current instant: the `AgentDone` pair a
+/// finished pairing releases, or an `AggregateStart` the last finisher
+/// triggers. Those events skip the calendar queue and wait in a FIFO
+/// *lane*: an event scheduled at exactly [`SimDriver::now`] goes there,
+/// every later one to the calendar. [`SimDriver::next`] pops the calendar
+/// while its earliest event is at `now`, then the lane, then the calendar
+/// again. That is exactly the `(time, seq)` order a single queue gives.
+/// A calendar event at `now` was scheduled before the clock reached `now`,
+/// so before any lane event, and it comes first. Lane events are all at
+/// `now`, ahead of every later calendar event, and the FIFO keeps their
+/// scheduling order. [`SimDriver::pending`], [`SimDriver::peak_pending`]
+/// and [`SimDriver::events_processed`] count both, so they read as with
+/// one queue.
 #[derive(Debug, Clone)]
 pub struct SimDriver {
     queue: EventQueue<SimEvent>,
+    /// Events scheduled at exactly `now`, in scheduling order; the clock
+    /// stays at `now` until the lane is empty, so their time is `now`.
+    lane: VecDeque<SimEvent>,
     now: f64,
     timelines: Vec<AgentTimeline>,
     processed: u64,
     peak_pending: usize,
+    /// Events scheduled through the calendar and through the lane.
+    calendar_pushes: u64,
+    lane_pushes: u64,
 }
 
 impl SimDriver {
@@ -142,10 +166,13 @@ impl SimDriver {
     pub fn new(num_slots: usize) -> Self {
         Self {
             queue: EventQueue::new(),
+            lane: VecDeque::new(),
             now: 0.0,
             timelines: vec![AgentTimeline::default(); num_slots],
             processed: 0,
             peak_pending: 0,
+            calendar_pushes: 0,
+            lane_pushes: 0,
         }
     }
 
@@ -163,7 +190,7 @@ impl SimDriver {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// High-water mark of the pending-event queue — how bursty the round's
@@ -174,7 +201,8 @@ impl SimDriver {
     }
 
     /// Publishes the driver's lifetime counters to the process-wide
-    /// metrics registry (`simnet.events`, `simnet.peak_pending`), plus the
+    /// metrics registry (`simnet.events`, `simnet.peak_pending`,
+    /// `simnet.calendar_pushes`, `simnet.lane_pushes`), plus the
     /// calendar-queue layout (`simnet.queue_buckets`,
     /// `simnet.bucket_occupancy` p50/p99 at the high-water calendar). No-op
     /// unless observability is enabled; never touches the clock or queue,
@@ -184,6 +212,8 @@ impl SimDriver {
             return;
         }
         comdml_obs::counter_add("simnet.events", self.processed);
+        comdml_obs::counter_add("simnet.calendar_pushes", self.calendar_pushes);
+        comdml_obs::counter_add("simnet.lane_pushes", self.lane_pushes);
         comdml_obs::gauge_max("simnet.peak_pending", self.peak_pending as f64);
         let stats = self.queue.bucket_stats();
         comdml_obs::gauge_max("simnet.queue_buckets", stats.buckets as f64);
@@ -199,8 +229,7 @@ impl SimDriver {
     /// is NaN.
     pub fn schedule_at(&mut self, time: f64, event: SimEvent) {
         assert!(time >= self.now, "cannot schedule into the past: {time} < {}", self.now);
-        self.queue.push(time, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.push(time, event);
     }
 
     /// Schedules `event` `delay` seconds from now.
@@ -210,8 +239,20 @@ impl SimDriver {
     /// Panics if `delay` is negative or NaN.
     pub fn schedule_in(&mut self, delay: f64, event: SimEvent) {
         assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.queue.push(self.now + delay, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.push(self.now + delay, event);
+    }
+
+    /// Queues an event at `time >= now`: on the lane at `now`, else on
+    /// the calendar (see "The same-instant lane").
+    fn push(&mut self, time: f64, event: SimEvent) {
+        if time == self.now {
+            self.lane.push_back(event);
+            self.lane_pushes += 1;
+        } else {
+            self.queue.push(time, event);
+            self.calendar_pushes += 1;
+        }
+        self.peak_pending = self.peak_pending.max(self.pending());
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -221,7 +262,15 @@ impl SimDriver {
     /// tests rely on.
     #[allow(clippy::should_implement_trait)] // DES vocabulary; the driver is not an Iterator
     pub fn next(&mut self) -> Option<(f64, SimEvent)> {
-        let (t, ev) = self.queue.pop()?;
+        let (t, ev) = if self.lane.is_empty() {
+            self.queue.pop()?
+        } else {
+            // Calendar events at `now` were scheduled before any lane event.
+            match self.queue.pop_at(self.now) {
+                Some(at_now) => at_now,
+                None => (self.now, self.lane.pop_front().expect("the lane is not empty")),
+            }
+        };
         self.now = t;
         self.processed += 1;
         Some((t, ev))

@@ -170,7 +170,26 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         let b = self.find_min()?;
-        let Reverse(e) = self.buckets[b].pop().expect("find_min returned a non-empty bucket");
+        Some(self.pop_bucket(b))
+    }
+
+    /// Removes and returns the earliest event if it is at `time`, probing
+    /// only `time`'s bucket. Exact when no pending event is earlier than
+    /// `time`: every event at `time` then shares that bucket, and its
+    /// `(time, seq)` peek is the earliest of them.
+    pub(crate) fn pop_at(&mut self, time: f64) -> Option<(f64, T)> {
+        if self.len == 0 {
+            return None;
+        }
+        let b = self.vbucket(time).rem_euclid(self.buckets.len() as i64) as usize;
+        let Reverse(e) = self.buckets[b].peek()?;
+        (e.time == time).then(|| self.pop_bucket(b))
+    }
+
+    /// Pops bucket `b`'s earliest entry, which must be the global minimum.
+    #[inline]
+    fn pop_bucket(&mut self, b: usize) -> (f64, T) {
+        let Reverse(e) = self.buckets[b].pop().expect("popped bucket is non-empty");
         // The popped event was the global minimum, so nothing earlier than
         // its bucket remains; later pops resume the scan there.
         self.cur_vb = self.vbucket(e.time);
@@ -179,7 +198,7 @@ impl<T> EventQueue<T> {
         if nb > MIN_BUCKETS && self.len * 8 < nb {
             self.resize(self.len, false);
         }
-        Some((e.time, e.payload))
+        (e.time, e.payload)
     }
 
     /// The time of the earliest pending event.

@@ -57,6 +57,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::membership::{ActiveSet, DepartureIndex};
+use crate::world::push_column;
 use crate::{
     AgentId, AgentProfile, DistSampler, DistributionConfig, JoinTopology, Topology, World,
     WorldConfig,
@@ -620,7 +621,7 @@ impl FleetDriver {
             &mut self.topology_rng,
         );
         self.active.push_inactive(); // activated when the join commits
-        self.depart_at.push(at + session);
+        push_column(&mut self.depart_at, at + session);
         Some(id)
     }
 

@@ -285,9 +285,9 @@ impl World {
         rng: &mut R,
     ) -> AgentId {
         let id = AgentId(self.agents.len());
-        self.agents.push(AgentState::new(id, profile, num_samples, batch_size));
-        self.cpus.push(profile.cpus);
-        self.link_col.push(profile.link_mbps);
+        push_column(&mut self.agents, AgentState::new(id, profile, num_samples, batch_size));
+        push_column(&mut self.cpus, profile.cpus);
+        push_column(&mut self.link_col, profile.link_mbps);
         match join {
             JoinTopology::FullMesh => self.adjacency.grow(),
             JoinTopology::ErdosRenyi { p } => self.adjacency.grow_er(p, rng),
@@ -442,6 +442,18 @@ impl World {
         positions.truncate(n);
         positions.sort_unstable();
     }
+}
+
+/// Pushes a joiner onto a per-agent column, growing a full column by an
+/// eighth rather than doubling it. A world is built at its exact size, so
+/// doubling would copy a million-agent column into twice its memory for
+/// the first of a handful of arrivals; an eighth keeps pushes amortized
+/// O(1).
+pub(crate) fn push_column<T>(column: &mut Vec<T>, value: T) {
+    if column.len() == column.capacity() {
+        column.reserve_exact(column.len() / 8 + 16);
+    }
+    column.push(value);
 }
 
 /// Mutable view of the agent list handed out by [`World::agents_mut`].
@@ -740,6 +752,24 @@ mod tests {
         // Mutation through the guard re-syncs on drop.
         w.agents_mut()[0].profile = AgentProfile::new(1.0, 50.0);
         check(&w);
+    }
+
+    #[test]
+    fn a_joiner_grows_a_full_world_by_an_eighth() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut w = WorldConfig::heterogeneous(800, 5).build();
+        assert_eq!(w.agents.capacity(), 800, "built at its exact size");
+        w.push_agent_joined(
+            AgentProfile::new(2.0, 20.0),
+            100,
+            10,
+            JoinTopology::FullMesh,
+            &mut StdRng::seed_from_u64(1),
+        );
+        for cap in [w.agents.capacity(), w.cpus.capacity(), w.link_col.capacity()] {
+            assert!((801..=916).contains(&cap), "capacity {cap}: doubled, not an eighth");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests for the simulation substrate.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use comdml_simnet::{
     AgentId, ArrivalProcess, DistSampler, DistributionConfig, EventQueue, FleetConfig,
-    FleetRoundPlan, MembershipChange, MembershipEvent, SessionLifetime, Topology, WorldConfig,
+    FleetRoundPlan, MembershipChange, MembershipEvent, SessionLifetime, SimDriver, SimEvent,
+    Topology, WorldConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -422,6 +424,60 @@ proptest! {
             prop_assert_eq!(q.pop(), Some(want));
         }
         prop_assert!(q.is_empty());
+    }
+
+    /// `SimDriver`, with its same-instant lane beside the calendar, pops
+    /// exactly what one `BinaryHeap` over `(time, seq)` pops. Schedules mix
+    /// zero-delay pushes at `now = 0` before the first pop, calendar events
+    /// at grid times the clock later reaches (while the lane fills at that
+    /// same instant), `schedule_in(0.0)` and positive delays.
+    #[test]
+    fn sim_driver_matches_heap_order(
+        ops in prop::collection::vec((0u8..5, 0u32..4), 1..300),
+        scale in 0.01f64..1e3,
+    ) {
+        let mut driver = SimDriver::new(1);
+        // Times are non-negative, so their bits order like their values.
+        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+        let (mut seq, mut peak, mut popped) = (0u64, 0usize, 0u64);
+        for (op, k) in ops {
+            let time = match op {
+                0 => {
+                    let got = driver.next().map(|(t, ev)| (t.to_bits(), ev));
+                    let want = heap.pop().map(|Reverse((t, _, slot))| {
+                        popped += 1;
+                        (t, SimEvent::AgentDone { slot })
+                    });
+                    prop_assert_eq!(got, want);
+                    if let Some((t, _)) = got {
+                        prop_assert_eq!(driver.now().to_bits(), t);
+                    }
+                    continue;
+                }
+                // A grid time, which events scheduled earlier may share.
+                1 => (f64::from(k) * scale).max(driver.now()),
+                2 => driver.now() + f64::from(k) * scale,
+                _ => driver.now(),
+            };
+            let event = SimEvent::AgentDone { slot: seq as usize };
+            if op == 4 {
+                driver.schedule_in(0.0, event);
+            } else {
+                driver.schedule_at(time, event);
+            }
+            heap.push(Reverse((time.to_bits(), seq, seq as usize)));
+            seq += 1;
+            peak = peak.max(heap.len());
+            prop_assert_eq!(driver.pending(), heap.len());
+        }
+        while let Some(Reverse((t, _, slot))) = heap.pop() {
+            popped += 1;
+            prop_assert_eq!(driver.next(), Some((f64::from_bits(t), SimEvent::AgentDone { slot })));
+        }
+        prop_assert_eq!(driver.next(), None);
+        prop_assert_eq!(driver.pending(), 0);
+        prop_assert_eq!(driver.peak_pending(), peak);
+        prop_assert_eq!(driver.events_processed(), popped);
     }
 
     /// The indexed `FleetDriver` reproduces the O(world) reference driver
