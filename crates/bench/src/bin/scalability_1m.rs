@@ -31,6 +31,10 @@
 //! (the participation sampler, which must shuffle the whole active list to
 //! keep its pinned output) is within [`SCALING_BOUND`]× of the 1M one: a
 //! round must cost O(cohort + membership events), not O(world).
+//!
+//! After each leg the binary prints the process's peak resident set
+//! (`VmHWM`) in MiB and per agent of the largest world built so far, so a
+//! smoke log shows the 10M-agent footprint. It is reported, not gated.
 
 use std::time::Instant;
 
@@ -83,6 +87,8 @@ struct RunStats {
     peak_agents: usize,
     sim_total_s: f64,
     phases: Vec<(String, f64)>,
+    /// Agents in the world when the run ended (departed slots included).
+    world_agents: usize,
 }
 
 fn run(name: &str, agents: usize, rounds: usize, threads: usize) -> RunStats {
@@ -125,13 +131,33 @@ fn run(name: &str, agents: usize, rounds: usize, threads: usize) -> RunStats {
         peak_agents: report.peak_agents,
         sim_total_s: report.total_sim_s,
         phases,
+        world_agents: sim.fleet().world().num_agents(),
+    }
+}
+
+/// Prints the process's peak resident set (`VmHWM` of `/proc/self/status`,
+/// absent on systems without it) after `leg`, in MiB and per agent of the
+/// largest world the process has built, `world_agents`.
+fn print_peak_rss(leg: &str, world_agents: usize) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    match kib {
+        Some(kib) => println!(
+            "{leg}: peak RSS {:.0} MiB, {:.0} B per agent of the {world_agents}-agent world",
+            kib / 1024.0,
+            kib * 1024.0 / world_agents as f64
+        ),
+        None => println!("{leg}: peak RSS unavailable (no VmHWM in /proc/self/status)"),
     }
 }
 
 /// Median per-round wall, in ms, outside `fleet.sample` for a world of
 /// `agents` sampled at `rate`, with churn fixed at
-/// [`SCALING_ARRIVALS_PER_S`] both ways.
-fn cohort_round_ms(agents: usize, rate: f64) -> f64 {
+/// [`SCALING_ARRIVALS_PER_S`] both ways, and the world's final size.
+fn cohort_round_ms(agents: usize, rate: f64) -> (f64, usize) {
     let fleet = FleetConfig::new(agents, SEED)
         .arrivals(ArrivalProcess::Poisson { rate_per_s: SCALING_ARRIVALS_PER_S })
         .lifetime(SessionLifetime::Exponential { mean_s: agents as f64 / SCALING_ARRIVALS_PER_S })
@@ -158,7 +184,7 @@ fn cohort_round_ms(agents: usize, rate: f64) -> f64 {
         })
         .collect();
     per_round.sort_by(f64::total_cmp);
-    per_round[per_round.len() / 2]
+    (per_round[per_round.len() / 2], sim.fleet().world().num_agents())
 }
 
 fn main() -> std::process::ExitCode {
@@ -181,10 +207,12 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
         println!("\nsmoke: ok (digest {:016x}, threads 1 == threads 8)", sequential.digest);
+        print_peak_rss("smoke", sequential.world_agents);
 
         println!("\ncohort scaling: ~10k cohorts of 1M and 10M worlds\n");
-        let small = cohort_round_ms(1_000_000, 0.01);
-        let large = cohort_round_ms(10_000_000, 0.001);
+        let (small, _) = cohort_round_ms(1_000_000, 0.01);
+        let (large, large_agents) = cohort_round_ms(10_000_000, 0.001);
+        print_peak_rss("\ncohort scaling", large_agents);
         let ratio = large / small;
         println!(
             "\nper-round wall outside sampling (median of {SCALING_ROUNDS}): 1M {small:.1} ms, \
@@ -208,6 +236,7 @@ fn main() -> std::process::ExitCode {
         SAMPLING_RATE * 100.0
     );
     let stats = run("semi_sync_q80", AGENTS, ROUNDS, 1);
+    print_peak_rss("\nsemi_sync_q80", stats.world_agents);
     let verdict = if stats.wall_s < TARGET_WALL_S { "within" } else { "OVER" };
     println!("\ntarget: {verdict} the {TARGET_WALL_S:.0} s budget ({:.2} s)", stats.wall_s);
 

@@ -57,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::membership::{ActiveSet, DepartureIndex};
-use crate::world::push_column;
+use crate::world::{push_column, with_headroom};
 use crate::{
     AgentId, AgentProfile, DistSampler, DistributionConfig, JoinTopology, Topology, World,
     WorldConfig,
@@ -329,12 +329,11 @@ impl FleetConfig {
         let join = self.join_topology.unwrap_or(JoinTopology::matching(&self.topology));
         let k = world.num_agents();
         // Initial agents draw their session lifetimes in id order.
-        let depart_at: Vec<f64> = (0..k)
-            .map(|_| match lifetime_sampler.as_mut() {
-                Some(s) => s.sample(&mut lifetime_rng),
-                None => self.lifetime.sample(&mut lifetime_rng),
-            })
-            .collect();
+        let mut depart_at = with_headroom(k);
+        depart_at.extend((0..k).map(|_| match lifetime_sampler.as_mut() {
+            Some(s) => s.sample(&mut lifetime_rng),
+            None => self.lifetime.sample(&mut lifetime_rng),
+        }));
         FleetDriver {
             world,
             cfg: self,

@@ -60,4 +60,4 @@ pub use fleet::{
 pub use hostile::{ByzantineConfig, DiurnalCycle, PartitionSchedule};
 pub use profile::{AgentProfile, CPU_PROFILES, LINK_PROFILES_MBPS};
 pub use topology::{Adjacency, JoinTopology, NeighborsIter, Topology};
-pub use world::{AgentsMut, World, WorldConfig};
+pub use world::{World, WorldConfig};

@@ -135,25 +135,23 @@ impl WorldConfig {
             sizes[i % k] += 1;
         }
 
-        let agents: Vec<AgentState> = profiles
-            .into_iter()
-            .zip(sizes)
-            .enumerate()
-            .map(|(i, (p, n))| AgentState::new(AgentId(i), p, n, self.batch_size))
-            .collect();
+        let mut agents = with_headroom(k);
+        agents.extend(
+            profiles
+                .into_iter()
+                .zip(sizes)
+                .enumerate()
+                .map(|(i, (p, n))| AgentState::new(AgentId(i), p, n, self.batch_size)),
+        );
         let adjacency = self.topology.build(k, &mut rng);
-        let mut world = World {
+        World {
             agents,
-            cpus: Vec::new(),
-            link_col: Vec::new(),
             adjacency,
             link_scale: 1.0,
             partition: None,
             churn_rng: StdRng::seed_from_u64(self.seed ^ 0x9e37_79b9),
             participation_rng: StdRng::seed_from_u64(self.seed ^ 0x85eb_ca6b),
-        };
-        world.rebuild_columns();
-        world
+        }
     }
 }
 
@@ -163,25 +161,17 @@ impl WorldConfig {
 /// (a path is no faster than its slowest hop), and 0 when the topology has
 /// no edge.
 ///
-/// # Hot columns
-///
-/// The agent list stays the authoritative record, but the fields the event
-/// engine and scheduler touch per event — CPU speed and link class — are
-/// mirrored into struct-of-arrays columns ([`World::cpus`],
-/// [`World::link_classes_mbps`]) so a scan over a million agents reads
-/// dense `f64` arrays instead of striding through whole `AgentState`s.
-/// Every mutator keeps the columns in sync; [`World::agents_mut`] hands
-/// out a guard that rebuilds them when dropped.
+/// Each agent is stored once, as an [`AgentState`] in [`World::agents`]:
+/// link lookups read the profile there, so a mutation through
+/// [`World::agents_mut`] needs no re-sync. [`WorldConfig::build`] leaves
+/// room for an eighth more agents, and a full world grows by an eighth, so
+/// the first joiners of an elastic fleet neither move nor copy it.
 #[derive(Debug, Clone)]
 pub struct World {
     agents: Vec<AgentState>,
-    /// Column mirror of `agents[i].profile.cpus`.
-    cpus: Vec<f64>,
-    /// Column mirror of `agents[i].profile.link_mbps`.
-    link_col: Vec<f64>,
     adjacency: Adjacency,
     /// Multiplicative bandwidth scale (diurnal cycles); 1.0 = no scaling,
-    /// in which case link lookups return the raw column bit-for-bit.
+    /// in which case link lookups return the raw profiles bit-for-bit.
     link_scale: f64,
     /// Active regional outage as `(groups, isolated_region)`: links between
     /// the isolated region (`id % groups == isolated_region`) and the rest
@@ -202,26 +192,14 @@ impl World {
     /// Panics if `agents.len()` differs from the adjacency size.
     pub fn from_parts(agents: Vec<AgentState>, adjacency: Adjacency, seed: u64) -> Self {
         assert_eq!(agents.len(), adjacency.len(), "agents and adjacency must agree");
-        let mut world = Self {
+        Self {
             agents,
-            cpus: Vec::new(),
-            link_col: Vec::new(),
             adjacency,
             link_scale: 1.0,
             partition: None,
             churn_rng: StdRng::seed_from_u64(seed),
             participation_rng: StdRng::seed_from_u64(seed ^ 0x85eb_ca6b),
-        };
-        world.rebuild_columns();
-        world
-    }
-
-    /// Recomputes the hot columns from the agent list.
-    fn rebuild_columns(&mut self) {
-        self.cpus.clear();
-        self.link_col.clear();
-        self.cpus.extend(self.agents.iter().map(|a| a.profile.cpus));
-        self.link_col.extend(self.agents.iter().map(|a| a.profile.link_mbps));
+        }
     }
 
     /// Number of agents.
@@ -234,24 +212,10 @@ impl World {
         &self.agents
     }
 
-    /// Mutable agent states (used by failure-injection tests). Returns a
-    /// guard that dereferences to the agent slice and re-syncs the hot
-    /// columns when dropped, so callers can mutate profiles freely without
-    /// the columns going stale.
-    pub fn agents_mut(&mut self) -> AgentsMut<'_> {
-        AgentsMut { world: self }
-    }
-
-    /// The per-agent CPU-speed column (`agents()[i].profile.cpus`),
-    /// contiguous for cache-line-sized hot-path scans.
-    pub fn cpus(&self) -> &[f64] {
-        &self.cpus
-    }
-
-    /// The per-agent link-class column (`agents()[i].profile.link_mbps`),
-    /// contiguous for cache-line-sized hot-path scans.
-    pub fn link_classes_mbps(&self) -> &[f64] {
-        &self.link_col
+    /// Mutable agent states (failure injection, dataset assignment). Link
+    /// lookups read the profiles in place, so edits take effect at once.
+    pub fn agents_mut(&mut self) -> &mut [AgentState] {
+        &mut self.agents
     }
 
     /// One agent's state.
@@ -286,8 +250,6 @@ impl World {
     ) -> AgentId {
         let id = AgentId(self.agents.len());
         push_column(&mut self.agents, AgentState::new(id, profile, num_samples, batch_size));
-        push_column(&mut self.cpus, profile.cpus);
-        push_column(&mut self.link_col, profile.link_mbps);
         match join {
             JoinTopology::FullMesh => self.adjacency.grow(),
             JoinTopology::ErdosRenyi { p } => self.adjacency.grow_er(p, rng),
@@ -314,8 +276,6 @@ impl World {
         rng: &mut R,
     ) {
         self.agents[id.0] = AgentState::new(id, profile, num_samples, batch_size);
-        self.cpus[id.0] = profile.cpus;
-        self.link_col[id.0] = profile.link_mbps;
         match join {
             JoinTopology::FullMesh => self.adjacency.rewire_full(id.0),
             JoinTopology::ErdosRenyi { p } => self.adjacency.rewire_er(id.0, p, rng),
@@ -333,7 +293,7 @@ impl World {
         if self.isolated(i) != self.isolated(j) {
             return 0.0;
         }
-        let base = self.link_col[i.0].min(self.link_col[j.0]);
+        let base = self.agents[i.0].profile.link_mbps.min(self.agents[j.0].profile.link_mbps);
         if self.link_scale == 1.0 {
             base
         } else {
@@ -345,7 +305,7 @@ impl World {
     /// what collectives pay per member. Partitions do not zero this: a cut
     /// separates regions, it does not sever an agent from its own region.
     pub fn uplink_mbps(&self, i: AgentId) -> f64 {
-        let base = self.link_col[i.0];
+        let base = self.agents[i.0].profile.link_mbps;
         if self.link_scale == 1.0 {
             base
         } else {
@@ -355,7 +315,7 @@ impl World {
 
     /// Sets the multiplicative bandwidth scale applied by
     /// [`World::link_mbps`] and [`World::uplink_mbps`]. A scale of exactly
-    /// `1.0` short-circuits to the raw columns, bit-for-bit.
+    /// `1.0` short-circuits to the raw profiles, bit-for-bit.
     pub fn set_link_scale(&mut self, scale: f64) {
         self.link_scale = scale;
     }
@@ -392,10 +352,7 @@ impl World {
         let mut ids: Vec<usize> = (0..k).collect();
         ids.shuffle(&mut self.churn_rng);
         for &i in ids.iter().take(n) {
-            let p = AgentProfile::sample(&mut self.churn_rng);
-            self.agents[i].profile = p;
-            self.cpus[i] = p.cpus;
-            self.link_col[i] = p.link_mbps;
+            self.agents[i].profile = AgentProfile::sample(&mut self.churn_rng);
         }
     }
 
@@ -444,46 +401,32 @@ impl World {
     }
 }
 
-/// Pushes a joiner onto a per-agent column, growing a full column by an
-/// eighth rather than doubling it. A world is built at its exact size, so
-/// doubling would copy a million-agent column into twice its memory for
-/// the first of a handful of arrivals; an eighth keeps pushes amortized
-/// O(1).
+/// One growth step of a per-agent column holding `n` agents: an eighth,
+/// plus a few slots so a small column does not grow one push at a time.
+fn growth_step(n: usize) -> usize {
+    n / 8 + 16
+}
+
+/// An empty per-agent column with room for `n` agents plus one growth step.
+/// The spare capacity is address space: a page of it is touched only when
+/// a joiner lands there, so a static world keeps no more resident memory
+/// and an elastic one is not copied by its first arrivals. Columns do not
+/// reserve [`FleetConfig::max_agents`](crate::FleetConfig::max_agents)
+/// instead: the allocator places and touches that untouched tail
+/// differently in every episode, so resident memory creeps from one
+/// episode to the next.
+pub(crate) fn with_headroom<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n + growth_step(n))
+}
+
+/// Pushes a joiner onto a per-agent column, growing a full column by one
+/// growth step rather than doubling it: pushes stay amortized O(1) without
+/// copying a million-agent column into twice its memory.
 pub(crate) fn push_column<T>(column: &mut Vec<T>, value: T) {
     if column.len() == column.capacity() {
-        column.reserve_exact(column.len() / 8 + 16);
+        column.reserve_exact(growth_step(column.len()));
     }
     column.push(value);
-}
-
-/// Mutable view of the agent list handed out by [`World::agents_mut`].
-///
-/// Dereferences to `[AgentState]`; when dropped it rebuilds the hot
-/// struct-of-arrays columns so profile edits made through the view are
-/// reflected in [`World::cpus`] and [`World::link_classes_mbps`].
-#[derive(Debug)]
-pub struct AgentsMut<'a> {
-    world: &'a mut World,
-}
-
-impl std::ops::Deref for AgentsMut<'_> {
-    type Target = [AgentState];
-
-    fn deref(&self) -> &[AgentState] {
-        &self.world.agents
-    }
-}
-
-impl std::ops::DerefMut for AgentsMut<'_> {
-    fn deref_mut(&mut self) -> &mut [AgentState] {
-        &mut self.world.agents
-    }
-}
-
-impl Drop for AgentsMut<'_> {
-    fn drop(&mut self) {
-        self.world.rebuild_columns();
-    }
 }
 
 /// Summary statistics of a world used in reports.
@@ -710,18 +653,34 @@ mod tests {
     }
 
     #[test]
-    fn hot_columns_track_every_mutator() {
+    fn link_lookups_read_the_current_profiles() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        // Every lookup, bit for bit, against the profiles as they stand.
         let check = |w: &World| {
+            let scaled = |mbps: f64| if w.link_scale == 1.0 { mbps } else { mbps * w.link_scale };
             for (i, a) in w.agents().iter().enumerate() {
-                assert_eq!(w.cpus()[i], a.profile.cpus);
-                assert_eq!(w.link_classes_mbps()[i], a.profile.link_mbps);
+                let up = w.uplink_mbps(AgentId(i));
+                assert_eq!(up.to_bits(), scaled(a.profile.link_mbps).to_bits(), "uplink {i}");
+                for (j, b) in w.agents().iter().enumerate() {
+                    let open = i != j
+                        && w.adjacency().connected(i, j)
+                        && w.isolated(AgentId(i)) == w.isolated(AgentId(j));
+                    let want = if open {
+                        scaled(a.profile.link_mbps.min(b.profile.link_mbps))
+                    } else {
+                        0.0
+                    };
+                    let got = w.link_mbps(AgentId(i), AgentId(j));
+                    assert_eq!(got.to_bits(), want.to_bits(), "link {i}-{j}");
+                }
             }
         };
-        let mut w = WorldConfig::heterogeneous(12, 41).build();
+        let mut w = WorldConfig::heterogeneous(12, 41).topology(Topology::random(0.6)).build();
         check(&w);
+        let before: Vec<AgentProfile> = w.agents().iter().map(|a| a.profile).collect();
         w.churn_profiles(0.5);
+        assert!(w.agents().iter().zip(&before).any(|(a, b)| a.profile != *b), "churn acted");
         check(&w);
         let mut rng = StdRng::seed_from_u64(3);
         w.push_agent_joined(
@@ -749,8 +708,13 @@ mod tests {
             &mut rng,
         );
         check(&w);
-        // Mutation through the guard re-syncs on drop.
-        w.agents_mut()[0].profile = AgentProfile::new(1.0, 50.0);
+        w.agents_mut()[0].profile = AgentProfile::new(1.0, 5.0);
+        check(&w);
+        w.set_link_scale(0.3);
+        check(&w);
+        w.set_partition(3, 1);
+        check(&w);
+        w.set_link_scale(1.0);
         check(&w);
     }
 
@@ -758,18 +722,29 @@ mod tests {
     fn a_joiner_grows_a_full_world_by_an_eighth() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut join = |w: &mut World| {
+            w.push_agent_joined(
+                AgentProfile::new(2.0, 20.0),
+                100,
+                10,
+                JoinTopology::FullMesh,
+                &mut rng,
+            );
+        };
         let mut w = WorldConfig::heterogeneous(800, 5).build();
-        assert_eq!(w.agents.capacity(), 800, "built at its exact size");
-        w.push_agent_joined(
-            AgentProfile::new(2.0, 20.0),
-            100,
-            10,
-            JoinTopology::FullMesh,
-            &mut StdRng::seed_from_u64(1),
-        );
-        for cap in [w.agents.capacity(), w.cpus.capacity(), w.link_col.capacity()] {
-            assert!((801..=916).contains(&cap), "capacity {cap}: doubled, not an eighth");
+        assert_eq!(w.agents.capacity(), 800 + 100 + 16, "built with an eighth of headroom");
+        let base = w.agents().as_ptr();
+        join(&mut w);
+        assert_eq!(w.agents().as_ptr(), base, "the first joiner moved the world");
+        assert_eq!(w.agents.capacity(), 916, "the first joiner grew the world");
+        while w.num_agents() < 916 {
+            join(&mut w);
         }
+        assert_eq!(w.agents.capacity(), 916);
+        join(&mut w);
+        let cap = w.agents.capacity();
+        assert!((917..=916 + 114 + 16).contains(&cap), "capacity {cap}: doubled, not an eighth");
     }
 
     #[test]
