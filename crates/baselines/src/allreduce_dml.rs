@@ -34,7 +34,7 @@ impl RoundEngine for AllReduceDml {
         if participants.is_empty() {
             return RoundProgress::idle(0.0);
         }
-        let times = self.cfg.per_agent_times(world, participants);
+        let compute = self.cfg.straggler_compute_s(world, participants);
         let min_link = self.cfg.min_link_mbps(world, participants);
         let cost = CollectiveCost::new(
             AllReduceAlgorithm::HalvingDoubling,
@@ -45,7 +45,7 @@ impl RoundEngine for AllReduceDml {
             self.cfg.calibration.bytes_per_s(min_link),
             self.cfg.calibration.link_latency_s,
         );
-        let round_s = comdml_core::barrier_round_s(&times, agg);
+        let round_s = compute + agg;
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

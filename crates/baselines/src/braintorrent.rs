@@ -44,17 +44,17 @@ impl RoundEngine for BrainTorrent {
         if participants.is_empty() {
             return RoundProgress::idle(0.0);
         }
-        let times = self.cfg.per_agent_times(world, participants);
-        let round_s = if participants.len() < 2 {
-            comdml_core::barrier_round_s(&times, 0.0)
+        let compute = self.cfg.straggler_compute_s(world, participants);
+        let agg_s = if participants.len() < 2 {
+            0.0
         } else {
             let aggregator = participants[self.rng.gen_range(0..participants.len())];
             let agg_link = world.agent(aggregator).profile.link_mbps;
             let b = self.cfg.model.model_bytes() as u64;
             let bytes = 2 * (participants.len() as u64 - 1) * b;
-            let agg_s = self.cfg.calibration.transfer_time_s(bytes, agg_link);
-            comdml_core::barrier_round_s(&times, agg_s)
+            self.cfg.calibration.transfer_time_s(bytes, agg_link)
         };
+        let round_s = compute + agg_s;
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

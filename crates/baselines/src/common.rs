@@ -35,17 +35,10 @@ impl BaselineConfig {
             )
     }
 
-    /// Per-participant full-model epoch times, the input every synchronized
-    /// baseline feeds to the shared event clock.
-    pub fn per_agent_times(&self, world: &World, participants: &[AgentId]) -> Vec<(AgentId, f64)> {
-        participants.iter().map(|&id| (id, self.solo_time_s(world.agent(id)))).collect()
-    }
-
     /// The compute phase of a synchronized round: the slowest participant's
-    /// full local epoch, executed as `AgentDone` events on the shared
-    /// simulated clock ([`comdml_core::barrier_round_s`]).
+    /// full local epoch (0 with no participants).
     pub fn straggler_compute_s(&self, world: &World, participants: &[AgentId]) -> f64 {
-        comdml_core::barrier_round_s(&self.per_agent_times(world, participants), 0.0)
+        slowest_s(participants.iter().map(|&id| self.solo_time_s(world.agent(id))))
     }
 
     /// The slowest participant link in Mbps (0 if anyone is disconnected).
@@ -55,6 +48,12 @@ impl BaselineConfig {
             .map(|&id| world.agent(id).profile.link_mbps)
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// The last of `times` to finish (0 when empty): a barrier's compute
+/// phase, after which its aggregation starts.
+pub(crate) fn slowest_s(times: impl IntoIterator<Item = f64>) -> f64 {
+    times.into_iter().fold(0.0, f64::max)
 }
 
 /// One round of `engine` over every agent of `world` — the direct `round`

@@ -1,6 +1,7 @@
 use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_simnet::{AgentId, World};
 
+use crate::common::slowest_s;
 use crate::BaselineConfig;
 
 /// Straggler dropping (\[26\] Bonawitz et al., discussed in §II-B): each round
@@ -65,7 +66,7 @@ impl RoundEngine for DropStragglers {
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, &survivors);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        let round_s = comdml_core::barrier_round_s(&by_speed[..keep], comm);
+        let round_s = slowest_s(by_speed[..keep].iter().map(|&(_, t)| t)) + comm;
         RoundProgress {
             cohort: keep,
             ..RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())

@@ -35,7 +35,7 @@ impl RoundEngine for FedAvg {
         if participants.is_empty() {
             return RoundProgress::idle(0.0);
         }
-        let times = self.cfg.per_agent_times(world, participants);
+        let compute = self.cfg.straggler_compute_s(world, participants);
         let b = self.cfg.model.model_bytes() as u64;
         // Slowest client link carries the model down and back up.
         let min_link = self.cfg.min_link_mbps(world, participants);
@@ -43,7 +43,7 @@ impl RoundEngine for FedAvg {
         // The server moves 2·P·b bytes through its own pipe.
         let server_bytes = 2 * participants.len() as u64 * b;
         let server_comm = self.cfg.calibration.transfer_time_s(server_bytes, self.cfg.server_mbps);
-        let round_s = comdml_core::barrier_round_s(&times, client_comm.max(server_comm));
+        let round_s = compute + client_comm.max(server_comm);
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

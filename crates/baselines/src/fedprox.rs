@@ -1,6 +1,7 @@
 use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_simnet::World;
 
+use crate::common::slowest_s;
 use crate::BaselineConfig;
 
 /// FedProx (\[27\] Li et al., discussed in §II-B): heterogeneity-aware FedAvg
@@ -56,18 +57,14 @@ impl RoundEngine for FedProx {
             participants.iter().map(|&id| self.cfg.solo_time_s(world.agent(id))).collect();
         solos.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let reference = solos[solos.len() / 2];
-        let times: Vec<_> = participants
-            .iter()
-            .map(|&id| {
-                let solo = self.cfg.solo_time_s(world.agent(id));
-                let work = (reference / solo).clamp(self.min_work, 1.0);
-                (id, solo * work)
-            })
-            .collect();
+        let compute = slowest_s(participants.iter().map(|&id| {
+            let solo = self.cfg.solo_time_s(world.agent(id));
+            solo * (reference / solo).clamp(self.min_work, 1.0)
+        }));
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, participants);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        let round_s = comdml_core::barrier_round_s(&times, comm);
+        let round_s = compute + comm;
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

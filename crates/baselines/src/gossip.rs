@@ -63,15 +63,18 @@ impl RoundEngine for GossipLearning {
         let b = self.cfg.model.model_bytes() as u64;
         // No barrier: the fleet progresses at its mean pace, each agent
         // paying its own compute plus one model exchange over its own link.
-        let times: Vec<_> = participants
+        let mut times: Vec<f64> = participants
             .iter()
             .map(|&id| {
                 let a = world.agent(id);
                 let exchange = 2.0 * self.cfg.calibration.transfer_time_s(b, a.profile.link_mbps);
-                (id, self.cfg.solo_time_s(a) + exchange)
+                self.cfg.solo_time_s(a) + exchange
             })
             .collect();
-        let round_s = comdml_core::mean_round_s(&times);
+        // Summed in finishing order, so the bits do not depend on the order
+        // participants are listed in.
+        times.sort_unstable_by(f64::total_cmp);
+        let round_s = times.iter().fold(0.0, |sum, &t| sum + t) / times.len() as f64;
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

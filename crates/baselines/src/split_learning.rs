@@ -2,6 +2,7 @@ use comdml_core::{RoundEngine, RoundInput, RoundProgress};
 use comdml_cost::SplitProfile;
 use comdml_simnet::World;
 
+use crate::common::slowest_s;
 use crate::BaselineConfig;
 
 /// Classic server-based split learning (\[2\] Vepakomma et al., §II-A): every
@@ -67,31 +68,24 @@ impl RoundEngine for ClassicSplitLearning {
         // Per batch, the agent computes its prefix, ships the activation,
         // waits for the server to run the suffix, and receives the gradient
         // — fully serialized (that is the point of the comparison).
-        let times: Vec<_> = participants
-            .iter()
-            .map(|&id| {
-                let a = world.agent(id);
-                let p = self.cfg.calibration.batches_per_s(
-                    self.cfg.model.train_flops_per_sample(),
-                    a.batch_size,
-                    a.profile.cpus,
-                );
-                let p_server = self.cfg.calibration.batches_per_s(
-                    self.cfg.model.train_flops_per_sample(),
-                    a.batch_size,
-                    self.server_cpus,
-                );
-                let agent_batch = e.t_slow_rel / p;
-                let server_batch = e.t_fast_rel / p_server;
-                let round_trip = 2.0
-                    * self
-                        .cfg
-                        .calibration
-                        .transfer_time_s(e.nu_bytes_per_batch, a.profile.link_mbps);
-                (id, a.num_batches() as f64 * (agent_batch + round_trip + server_batch))
-            })
-            .collect();
-        let round_s = comdml_core::barrier_round_s(&times, 0.0);
+        let round_s = slowest_s(participants.iter().map(|&id| {
+            let a = world.agent(id);
+            let p = self.cfg.calibration.batches_per_s(
+                self.cfg.model.train_flops_per_sample(),
+                a.batch_size,
+                a.profile.cpus,
+            );
+            let p_server = self.cfg.calibration.batches_per_s(
+                self.cfg.model.train_flops_per_sample(),
+                a.batch_size,
+                self.server_cpus,
+            );
+            let agent_batch = e.t_slow_rel / p;
+            let server_batch = e.t_fast_rel / p_server;
+            let round_trip = 2.0
+                * self.cfg.calibration.transfer_time_s(e.nu_bytes_per_batch, a.profile.link_mbps);
+            a.num_batches() as f64 * (agent_batch + round_trip + server_batch)
+        }));
         RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
     }
 }

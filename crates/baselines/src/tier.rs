@@ -56,11 +56,10 @@ impl TierBased {
     /// Barrier time of one tier's round: the tier's compute plus the
     /// FedAvg-style server exchange.
     fn price_tier(&self, world: &World, tier: &[AgentId]) -> f64 {
-        let times = self.cfg.per_agent_times(world, tier);
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, tier);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        comdml_core::barrier_round_s(&times, comm)
+        self.cfg.straggler_compute_s(world, tier) + comm
     }
 }
 

@@ -121,8 +121,8 @@ pub enum Disruption {
         /// Failure instant, simulated seconds.
         at_s: f64,
     },
-    /// `agent` leaves gracefully at `at_s`: same re-pairing path as a crash
-    /// but the agent is not marked failed in the timeline.
+    /// `agent` leaves gracefully at `at_s`: the same re-pairing path as a
+    /// crash.
     Leave {
         /// The leaving agent.
         agent: AgentId,
@@ -227,69 +227,6 @@ impl EventRoundReport {
             spill,
         }
     }
-}
-
-/// Executes a barrier round for engines without pairing on the shared event
-/// clock: one [`SimEvent::AgentDone`] per participant at its task time, an
-/// [`SimEvent::AggregateStart`] once the last finisher arrives, and the
-/// matching [`SimEvent::AggregateDone`] `aggregation_s` later. Returns the
-/// round's total simulated seconds.
-///
-/// Every baseline `RoundEngine` (FedAvg, AllReduce-DML, BrainTorrent, …)
-/// routes its synchronized phases through here, so ComDML and the baselines
-/// share one simulation substrate. Each entry of `times` is its own driver
-/// slot, so the cost is O(participants) however large the ids are.
-pub fn barrier_round_s(times: &[(AgentId, f64)], aggregation_s: f64) -> f64 {
-    if times.is_empty() {
-        return 0.0;
-    }
-    let mut driver = slot_driver(times);
-    let mut remaining = times.len();
-    while let Some((now, event)) = driver.next() {
-        match event {
-            SimEvent::AgentDone { slot } => {
-                driver.mark_done(slot, now);
-                remaining -= 1;
-                if remaining == 0 {
-                    driver.schedule_at(now, SimEvent::AggregateStart);
-                }
-            }
-            SimEvent::AggregateStart => {
-                driver.schedule_at(now + aggregation_s, SimEvent::AggregateDone)
-            }
-            _ => {}
-        }
-    }
-    driver.now()
-}
-
-/// Executes a barrier-free round on the event clock and returns the mean
-/// completion time — the round cost of gossip-style engines where every
-/// agent proceeds at its own pace. Slot-indexed like [`barrier_round_s`].
-pub fn mean_round_s(times: &[(AgentId, f64)]) -> f64 {
-    if times.is_empty() {
-        return 0.0;
-    }
-    let mut driver = slot_driver(times);
-    let mut total = 0.0;
-    while let Some((now, event)) = driver.next() {
-        if let SimEvent::AgentDone { slot } = event {
-            driver.mark_done(slot, now);
-            total += now;
-        }
-    }
-    total / times.len() as f64
-}
-
-/// A driver with one slot per entry of `times`, each busy for its task time
-/// and scheduled to finish at it (in entry order, so ties keep it).
-fn slot_driver(times: &[(AgentId, f64)]) -> SimDriver {
-    let mut driver = SimDriver::new(times.len());
-    for (slot, &(_, t)) in times.iter().enumerate() {
-        driver.record_busy(slot, t);
-        driver.schedule_at(t, SimEvent::AgentDone { slot });
-    }
-    driver
 }
 
 impl Disruption {
@@ -678,18 +615,11 @@ impl<'a> EventRound<'a> {
         let mut driver = SimDriver::with_capacity(n, self.pairings.len() + self.disruptions.len());
 
         // Agents targeted by a failure/leave: their pairings must run
-        // fine-grained so the disruption can strike mid-pipeline. A leave is
-        // graceful (not marked failed in the timeline); the last disruption
-        // naming an agent decides.
+        // fine-grained so the disruption can strike mid-pipeline.
         let mut disrupted = vec![false; n];
-        let mut graceful = vec![false; n];
         for (d, &slot) in self.disruptions.iter().zip(&slots.disruptions) {
-            match d {
-                Disruption::Fail { .. } | Disruption::Leave { .. } => {
-                    disrupted[slot] = true;
-                    graceful[slot] = matches!(d, Disruption::Leave { .. });
-                }
-                Disruption::Join { .. } => {}
+            if !matches!(d, Disruption::Join { .. }) {
+                disrupted[slot] = true;
             }
         }
 
@@ -965,9 +895,6 @@ impl<'a> EventRound<'a> {
                         continue;
                     }
                     gone[slot] = true;
-                    if !graceful[slot] {
-                        driver.mark_failed(slot);
-                    }
                     let idx = pair_of[slot];
                     if idx == NO_PAIR {
                         continue;
@@ -1027,11 +954,6 @@ impl<'a> EventRound<'a> {
                     // their own.
                     joined_pool.push(slot);
                     driver.mark_done(slot, now);
-                }
-                SimEvent::AgentLeave { slot } => {
-                    // Disruption scheduling routes leaves through AgentFail;
-                    // a directly injected Leave behaves identically.
-                    driver.schedule_at(now, SimEvent::AgentFail { slot });
                 }
             }
         }

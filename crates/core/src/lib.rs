@@ -13,7 +13,9 @@
 //!    greedily in descending order of solo training time, each slow agent
 //!    choosing the partner and split that minimize its estimated time. The
 //!    same scheduler covers Eq. 4's multi-guest helpers through
-//!    [`PairingScheduler::capacity`], priced by [`helper_completion_s`].
+//!    [`PairingScheduler::capacity`], which queues each later guest behind
+//!    its helper's updated `τ̂ⱼ`. Multi-guest pairings are estimated only:
+//!    no round engine executes them.
 //! 4. **Round execution** ([`EventRound`]) — a discrete-event simulation
 //!    of paired local-loss split training, plus AllReduce aggregation
 //!    cost, under synchronous, semi-synchronous or asynchronous
@@ -59,12 +61,11 @@ mod scheduler;
 pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, RoundEngine, RoundInput};
 pub use estimator::{SplitDecision, TrainingTimeEstimator};
 pub use event_round::{
-    barrier_round_s, mean_round_s, AggregationMode, Disruption, EventGranularity, EventRound,
-    EventRoundReport,
+    AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport,
 };
 pub use fleet::{FleetReport, FleetRoundSummary, FleetSim};
 pub use learning_curve::{staleness_weight, LearningCurve};
 pub use learning_model::{sampling_penalty, LearningModel, RoundProgress};
 pub use real_fleet::{InputHook, ParamHook, RealFleetConfig, RealFleetReport, RealSplitFleet};
-pub use round::{helper_completion_s, simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
+pub use round::{simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
 pub use scheduler::{Pairing, PairingOrder, PairingScheduler};

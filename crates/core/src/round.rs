@@ -129,43 +129,6 @@ impl PairRoundSim {
     }
 }
 
-/// Completion time of one helper and all its guests (Eq. 4's multi-guest
-/// form, see [`crate::PairingScheduler::capacity`]), processed in
-/// assignment order: the helper finishes its own task first, then serves
-/// each guest's pipeline back to back.
-pub fn helper_completion_s(
-    world: &World,
-    helper: AgentId,
-    guests: &[(AgentId, usize)],
-    estimator: &TrainingTimeEstimator<'_>,
-    cal: &CostCalibration,
-) -> f64 {
-    let fast = world.agent(helper);
-    let p_j = estimator.batches_per_s(fast);
-    let mut available = fast.num_batches() as f64 / p_j;
-    for &(slow_id, offload) in guests {
-        let slow = world.agent(slow_id);
-        let entry = estimator.profile().entry(offload).expect("profiled offload");
-        let p_i = estimator.batches_per_s(slow);
-        let link = world.link_mbps(slow_id, helper);
-        let sim = PairRoundSim {
-            n_slow_batches: slow.num_batches(),
-            // Model the helper's prior commitments as "own work".
-            n_fast_batches: 0,
-            slow_batch_s: entry.t_slow_rel / p_i,
-            fast_own_batch_s: 0.0,
-            fast_guest_batch_s: entry.t_fast_rel / p_j,
-            transfer_s: cal.transfer_time_s(entry.nu_bytes_per_batch, link),
-            suffix_return_s: cal.transfer_time_s(entry.suffix_param_bytes, link),
-        };
-        // Guests pipeline against the helper's availability: start no
-        // earlier than `available`.
-        let t = sim.run();
-        available = available.max(t.pair_done_s).max(available + t.fast_busy_s);
-    }
-    available
-}
-
 /// Per-agent timing within one round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentRoundStats {
@@ -467,18 +430,5 @@ mod tests {
         let outcome = simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::Ring);
         assert_eq!(outcome.num_offloads, 0);
         assert!(outcome.agent_stats.iter().all(|s| s.comm_s == 0.0));
-    }
-
-    #[test]
-    fn helper_completion_grows_with_guests() {
-        let (spec, profile, cal) = fixtures();
-        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
-        let world = WorldConfig::heterogeneous(6, 2).build();
-        let helper = world.agents()[0].id;
-        let g1 = vec![(world.agents()[1].id, 28usize)];
-        let g2 = vec![(world.agents()[1].id, 28usize), (world.agents()[2].id, 28usize)];
-        let t1 = helper_completion_s(&world, helper, &g1, &est, &cal);
-        let t2 = helper_completion_s(&world, helper, &g2, &est, &cal);
-        assert!(t2 > t1, "more guests take longer: {t2} vs {t1}");
     }
 }

@@ -8,10 +8,10 @@ use crate::EventQueue;
 /// `comdml-core` owns the per-pair state); agent-level events carry the
 /// agent's *slot* — the dense index the caller gave it among the agents
 /// the simulation touches (see [`SimDriver`]). The engine is deliberately
-/// open-ended: fleet-level
-/// dynamics (failure, join, leave) share the same queue as the per-batch
-/// pipeline events, so a helper can die halfway through a transfer and the
-/// handler observes it in causal order.
+/// open-ended: fleet-level dynamics (failure, join; a leave is delivered
+/// as a failure) share the same queue as the per-batch pipeline events,
+/// so a helper can die halfway through a transfer and the handler observes
+/// it in causal order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimEvent {
     /// The slow side of pairing `pair` finished producing activation batch
@@ -55,8 +55,8 @@ pub enum SimEvent {
     AggregateStart,
     /// Aggregation completed; the round's critical path ends here.
     AggregateDone,
-    /// The agent in `slot` failed (crash-stop). Pairs it participates in
-    /// must react.
+    /// The agent in `slot` failed (crash-stop) or left. Pairs it
+    /// participates in must react.
     AgentFail {
         /// The failing agent's slot.
         slot: usize,
@@ -64,11 +64,6 @@ pub enum SimEvent {
     /// The agent in `slot` joined the fleet mid-simulation.
     AgentJoin {
         /// The joining agent's slot.
-        slot: usize,
-    },
-    /// The agent in `slot` left the fleet gracefully.
-    AgentLeave {
-        /// The leaving agent's slot.
         slot: usize,
     },
 }
@@ -84,8 +79,6 @@ pub struct AgentTimeline {
     pub finish_s: f64,
     /// Whether the agent finished its task this round.
     pub done: bool,
-    /// Whether the agent crash-stopped this round.
-    pub failed: bool,
 }
 
 /// The discrete-event simulation driver: a shared simulated clock, the
@@ -294,11 +287,6 @@ impl SimDriver {
         t.finish_s = at;
     }
 
-    /// Marks `slot` crash-stopped.
-    pub fn mark_failed(&mut self, slot: usize) {
-        self.timelines[slot].failed = true;
-    }
-
     /// Clears the done flag of `slot` — used when an idle agent is
     /// re-tasked mid-round (e.g. claimed as a replacement helper after a
     /// failure).
@@ -318,11 +306,6 @@ impl SimDriver {
     /// All timelines, indexed by slot.
     pub fn timelines(&self) -> &[AgentTimeline] {
         &self.timelines
-    }
-
-    /// Number of agents currently marked done.
-    pub fn done_count(&self) -> usize {
-        self.timelines.iter().filter(|t| t.done).count()
     }
 }
 
@@ -374,7 +357,6 @@ mod tests {
         assert_eq!(d.timeline(1).comm_s, 1.0);
         assert!(d.timeline(0).done);
         assert!(!d.timeline(1).done);
-        assert_eq!(d.done_count(), 1);
     }
 
     #[test]

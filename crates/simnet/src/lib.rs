@@ -12,10 +12,11 @@
 //! agents + links + data sizes together, profile churn, participant sampling,
 //! and the discrete-event core — a deterministic [`EventQueue`] plus the
 //! [`SimDriver`] that executes typed [`SimEvent`]s (batch production,
-//! transfers, suffix returns, aggregation, failure/join/leave) against a
-//! shared simulated clock with per-agent [`AgentTimeline`] accounting. The
-//! round engine in `comdml-core` builds every simulation — ComDML and all
-//! baselines — on this driver.
+//! transfers, suffix returns, aggregation, failure and join) against a
+//! shared simulated clock with per-agent [`AgentTimeline`] accounting.
+//! ComDML's round engine in `comdml-core` runs on this driver; the
+//! baselines, which have no mid-round interaction, price their rounds in
+//! closed form.
 //!
 //! On top of the single-round substrate, [`FleetDriver`] makes membership a
 //! *process*: Poisson or trace-driven [`ArrivalProcess`] arrivals,
